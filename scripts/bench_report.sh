@@ -214,10 +214,11 @@ cat "$out"
 
 # Pick the newest committed snapshot as the baseline when none was given
 # (skipping the snapshot we just wrote, so regenerating BENCH_prN.json in
-# place still diffs against pr(N-1)).
+# place still diffs against pr(N-1)). Newest is by PR number: sort -V puts
+# BENCH_pr10 after BENCH_pr9, where a plain sort would not.
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 if [[ -z "$baseline" ]]; then
-  for cand in $(ls -r "$repo_root"/bench/snapshots/BENCH_*.json 2>/dev/null); do
+  for cand in $(ls "$repo_root"/bench/snapshots/BENCH_*.json 2>/dev/null | sort -rV); do
     if [[ "$(readlink -f "$cand")" != "$(readlink -f "$out")" ]]; then
       baseline="$cand"
       break

@@ -1,5 +1,6 @@
 #include "fl/evaluator.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -18,23 +19,30 @@ std::vector<double> client_errors(const nn::Model& model,
   const bool serial = num_threads == 1 || which.size() < 2 ||
                       ThreadPool::in_parallel_region();
   if (serial) {
-    for (std::size_t i = 0; i < which.size(); ++i) {
-      errors[i] = model.error_rate(clients[which[i]]);
-    }
+    model.error_rates(clients, which, errors);
     return errors;
   }
 
   // Model scratch buffers are mutated during evaluation, so each worker slot
   // evaluates on its own replica. Each client's error is a pure function of
-  // (params, client), so the schedule cannot affect results. The replica set
-  // is per-call on purpose: `model` can be a different architecture on every
-  // call, so replicas cannot be cached across calls — and the serial early
-  // returns above mean clones are only ever paid on genuinely parallel runs.
+  // (params, client), so neither the schedule nor the split of `which` into
+  // batches can affect results. The replica set is per-call on purpose:
+  // `model` can be a different architecture on every call, so replicas
+  // cannot be cached across calls — and the serial early returns above mean
+  // clones are only ever paid on genuinely parallel runs.
   ThreadPool& pool = ThreadPool::global();
   nn::ReplicaSet replicas;
   replicas.reset(model, pool.max_slots(), /*copy_params=*/true);
-  pool.parallel_for_slots(which.size(), [&](std::size_t slot, std::size_t i) {
-    errors[i] = replicas.at(slot).error_rate(clients[which[i]]);
+  // A few contiguous batches per slot: each error_rates() call shares its
+  // per-batch work (e.g. distinct-context rows) across its clients, and
+  // several batches per slot keep uneven client sizes load-balanced.
+  const std::size_t batches = std::min(which.size(), 4 * pool.max_slots());
+  pool.parallel_for_slots(batches, [&](std::size_t slot, std::size_t b) {
+    const std::size_t lo = b * which.size() / batches;
+    const std::size_t hi = (b + 1) * which.size() / batches;
+    replicas.at(slot).error_rates(
+        clients, which.subspan(lo, hi - lo),
+        std::span<double>(errors).subspan(lo, hi - lo));
   });
   return errors;
 }

@@ -17,10 +17,12 @@ namespace fedtune::fl {
 enum class Weighting { kUniform, kByExampleCount };
 
 // Error rate of `model` on each of the selected clients (client order
-// matches `which`). Clients with zero examples report error 1.0.
+// matches `which`). Clients with zero examples report error 1.0. Both paths
+// evaluate through nn::Model::error_rates.
 //
 // num_threads: 1 = serial (default), any other value = parallelize over
-// clients on the shared global pool using per-worker model replicas. The
+// batches of clients on the shared global pool using per-worker model
+// replicas. The
 // parallel path degrades to serial inside an enclosing parallel region and
 // produces identical results either way.
 std::vector<double> client_errors(const nn::Model& model,

@@ -2,8 +2,8 @@
 //
 // A Model owns its ParamStore; the optimizer and server aggregation code see
 // only flat spans. forward_backward() accumulates gradients (callers
-// zero_grad() between minibatches); errors() evaluates prediction error for
-// federated evaluation (Eq. 2 of the paper).
+// zero_grad() between minibatches); errors() and the batched error_rates()
+// evaluate prediction error for federated evaluation (Eq. 2 of the paper).
 #pragma once
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "data/client_data.hpp"
 
@@ -47,9 +48,28 @@ class Model {
 
   // Error rate helper: wrong / total over a client (1.0 if no examples).
   double error_rate(const data::ClientData& client) const {
-    const auto [wrong, total] = errors(client);
-    if (total == 0) return 1.0;
-    return static_cast<double>(wrong) / static_cast<double>(total);
+    return rate(errors(client));
+  }
+
+  // Batched evaluation: out[i] = error_rate(clients[which[i]]). This is the
+  // entry point of fl::client_errors. Models whose prediction cost can be
+  // shared across clients override it; an override must return exactly the
+  // values of the default loop below.
+  virtual void error_rates(std::span<const data::ClientData> clients,
+                           std::span<const std::size_t> which,
+                           std::span<double> out) const {
+    FEDTUNE_CHECK(out.size() == which.size());
+    for (std::size_t i = 0; i < which.size(); ++i) {
+      out[i] = error_rate(clients[which[i]]);
+    }
+  }
+
+ protected:
+  // wrong / total of an errors() count; 1.0 when nothing was predicted.
+  static double rate(std::pair<std::size_t, std::size_t> count) {
+    if (count.second == 0) return 1.0;
+    return static_cast<double>(count.first) /
+           static_cast<double>(count.second);
   }
 };
 

@@ -6,6 +6,21 @@ namespace fedtune::nn {
 
 // ---------------------------------------------------------------- TextMlp --
 
+namespace {
+
+// vocab^context, or 0 when it exceeds `limit`.
+std::size_t count_contexts(std::size_t vocab, std::size_t context,
+                           std::size_t limit) {
+  std::size_t n = 1;
+  for (std::size_t j = 0; j < context; ++j) {
+    if (n > limit / vocab) return 0;
+    n *= vocab;
+  }
+  return n;
+}
+
+}  // namespace
+
 TextMlp::TextMlp(std::size_t vocab, std::size_t context, std::size_t embed_dim,
                  std::size_t hidden_dim)
     : vocab_(vocab), context_(context), embed_dim_(embed_dim),
@@ -14,6 +29,7 @@ TextMlp::TextMlp(std::size_t vocab, std::size_t context, std::size_t embed_dim,
       hidden_layer_(store_, context * embed_dim, hidden_dim),
       out_layer_(store_, hidden_dim, vocab) {
   FEDTUNE_CHECK(context >= 1);
+  num_contexts_ = count_contexts(vocab, context, kMaxContexts);
   slot_ids_.resize(context_);
 }
 
@@ -51,7 +67,7 @@ std::size_t TextMlp::gather(const data::ClientData& client,
 }
 
 void TextMlp::forward_cached() const {
-  const std::size_t total = labels_.size();
+  const std::size_t total = slot_ids_[0].size();
   embedded_.ensure_shape(total, context_ * embed_dim_);
   for (std::size_t j = 0; j < context_; ++j) {
     embed_.forward(slot_ids_[j], embedded_, j * embed_dim_);
@@ -77,7 +93,93 @@ double TextMlp::forward_backward(const data::ClientData& client,
   return loss;
 }
 
+void TextMlp::count_by_context(std::span<const data::ClientData> clients,
+                               std::span<const std::size_t> which,
+                               std::span<Count> counts) const {
+  // Rows of the previous call (or of one a check interrupted) are unseen
+  // again; resetting only those keeps the call O(positions), not O(table).
+  context_row_.resize(num_contexts_, -1);
+  for (const std::size_t code : seen_codes_) context_row_[code] = -1;
+  seen_codes_.clear();
+  for (auto& slot : slot_ids_) slot.clear();
+
+  // Index of the `context` tokens before position t in [0, vocab^context).
+  const auto code_at = [this](std::span<const std::int32_t> seq,
+                              std::size_t t) {
+    std::size_t code = 0;
+    for (std::size_t j = t - context_; j < t; ++j) {
+      code = code * vocab_ + static_cast<std::size_t>(seq[j]);
+    }
+    return code;
+  };
+
+  // Pass 1: one forward row per distinct context.
+  for (const std::size_t k : which) {
+    const data::ClientData& client = clients[k];
+    if (client.num_examples() == 0) continue;
+    FEDTUNE_CHECK_MSG(client.seq_len > context_,
+                      "sequences too short for context window");
+    for (std::size_t s = 0; s < client.num_examples(); ++s) {
+      const auto seq = client.sequence(s);
+      // Every token but the last is some position's context.
+      for (std::size_t j = 0; j + 1 < client.seq_len; ++j) {
+        FEDTUNE_CHECK(static_cast<std::size_t>(seq[j]) < vocab_);
+      }
+      for (std::size_t t = context_; t < client.seq_len; ++t) {
+        const std::size_t code = code_at(seq, t);
+        if (context_row_[code] >= 0) continue;
+        context_row_[code] = static_cast<std::int32_t>(seen_codes_.size());
+        seen_codes_.push_back(code);
+        for (std::size_t j = 0; j < context_; ++j) {
+          slot_ids_[j].push_back(seq[t - context_ + j]);
+        }
+      }
+    }
+  }
+
+  if (!seen_codes_.empty()) {
+    forward_cached();
+    predictions_.resize(seen_codes_.size());
+    for (std::size_t r = 0; r < predictions_.size(); ++r) {
+      predictions_[r] = static_cast<std::int32_t>(ops::argmax_row(logits_, r));
+    }
+  }
+
+  // Pass 2: each position's prediction against its label, per client.
+  for (std::size_t i = 0; i < which.size(); ++i) {
+    const data::ClientData& client = clients[which[i]];
+    counts[i] = {0, 0};
+    for (std::size_t s = 0; s < client.num_examples(); ++s) {
+      const auto seq = client.sequence(s);
+      for (std::size_t t = context_; t < client.seq_len; ++t) {
+        counts[i].first +=
+            predictions_[context_row_[code_at(seq, t)]] != seq[t];
+      }
+      counts[i].second += client.seq_len - context_;
+    }
+  }
+}
+
 std::pair<std::size_t, std::size_t> TextMlp::errors(
+    const data::ClientData& client) const {
+  if (num_contexts_ == 0) return errors_per_position(client);
+  const std::size_t which = 0;
+  Count count;
+  count_by_context({&client, 1}, {&which, 1}, {&count, 1});
+  return count;
+}
+
+void TextMlp::error_rates(std::span<const data::ClientData> clients,
+                          std::span<const std::size_t> which,
+                          std::span<double> out) const {
+  if (num_contexts_ == 0) return Model::error_rates(clients, which, out);
+  FEDTUNE_CHECK(out.size() == which.size());
+  std::vector<Count> counts(which.size());
+  count_by_context(clients, which, counts);
+  for (std::size_t i = 0; i < which.size(); ++i) out[i] = rate(counts[i]);
+}
+
+TextMlp::Count TextMlp::errors_per_position(
     const data::ClientData& client) const {
   const std::size_t n = client.num_examples();
   if (n == 0) return {0, 0};

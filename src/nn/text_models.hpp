@@ -3,7 +3,13 @@
 // TextMlp: windowed language model — embeds the previous `context` tokens,
 // concatenates, and applies a tanh MLP. This is the fast default used for
 // config pools (DESIGN.md), with training dynamics that respond to the same
-// HPs the paper tunes.
+// HPs the paper tunes. Its prediction at a position depends only on the
+// `context` tokens before it, so evaluation runs the forward pass once per
+// distinct context and counts each position's error by a table lookup.
+// Every forward kernel is row-wise (GEMM rows are independent for K <= the
+// k-tile, see tensor/ops.hpp), so the result is bitwise the per-position
+// one. When vocab^context exceeds kMaxContexts, evaluation runs one forward
+// row per position instead.
 //
 // LstmLm: Embedding -> single-layer LSTM (BPTT) -> Linear over the vocab,
 // matching the paper's 2-layer-LSTM architecture family at laptop scale.
@@ -34,19 +40,36 @@ class TextMlp final : public Model {
                           std::span<const std::size_t> idx) override;
   std::pair<std::size_t, std::size_t> errors(
       const data::ClientData& client) const override;
+  void error_rates(std::span<const data::ClientData> clients,
+                   std::span<const std::size_t> which,
+                   std::span<double> out) const override;
   std::unique_ptr<Model> clone_architecture() const override;
 
+  // Largest vocab^context evaluated by distinct context.
+  static constexpr std::size_t kMaxContexts = std::size_t{1} << 16;
+
  private:
+  using Count = std::pair<std::size_t, std::size_t>;
+
   // Builds (ids per slot, labels) for all predictable positions of the given
-  // sequences, then runs embed→hidden→logits. Returns #positions.
+  // sequences. Returns #positions.
   std::size_t gather(const data::ClientData& client,
                      std::span<const std::size_t> idx) const;
+  // embed→hidden→logits over the rows of slot_ids_.
   void forward_cached() const;
+  // (wrong, total) of each clients[which[i]] into counts[i], with one
+  // forward row per distinct context across all of them.
+  void count_by_context(std::span<const data::ClientData> clients,
+                        std::span<const std::size_t> which,
+                        std::span<Count> counts) const;
+  // One forward row per position; used when num_contexts_ == 0.
+  Count errors_per_position(const data::ClientData& client) const;
 
   std::size_t vocab_;
   std::size_t context_;
   std::size_t embed_dim_;
   std::size_t hidden_dim_;
+  std::size_t num_contexts_;  // vocab^context, 0 if above kMaxContexts
   ParamStore store_;
   Embedding embed_;
   Linear hidden_layer_;
@@ -55,6 +78,11 @@ class TextMlp final : public Model {
   // Scratch.
   mutable std::vector<std::vector<std::int32_t>> slot_ids_;  // [context][P]
   mutable std::vector<std::int32_t> labels_;
+  // Distinct-context evaluation: forward row of each context code (-1 =
+  // unseen), the codes seen, and each row's predicted token.
+  mutable std::vector<std::int32_t> context_row_;
+  mutable std::vector<std::size_t> seen_codes_;
+  mutable std::vector<std::int32_t> predictions_;
   mutable Matrix embedded_;   // (P, context*E)
   mutable Matrix hidden_pre_, hidden_act_, logits_;
   mutable Matrix grad_logits_, grad_hidden_, grad_pre_, grad_embed_;

@@ -25,6 +25,18 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& out);
 
 // Raw-pointer kernels for operands living inside a flat parameter store
 // (weights are spans of a ParamStore, not Matrix objects).
+//
+// Row independence: with accumulate=false and k <= 256 (one k-tile, kKc in
+// ops.cpp), row r of gemm_raw's output is bitwise a function of row r of a
+// alone, for any m: the 6-row and 4-row micro-kernels and the edge-row path
+// all sum k in order from zero. Evaluation relies on it (nn::TextMlp
+// evaluates each distinct context once, not each position). Above one
+// k-tile, edge rows accumulate straight into c while the micro-kernel sums
+// per tile, so rows can differ; no shipped layer has k > 32. gemm_nt_raw
+// only keeps row r independent of the other rows of a for a fixed m: at
+// m >= 12 its micro-kernel sums k in order while the dot-product path
+// (fewer rows, the last m % 6 < 4 rows, the n % 16 tail) uses a SIMD
+// reduction.
 // c[m,n] (+)= a[m,k] @ b[k,n]
 void gemm_raw(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, bool accumulate);

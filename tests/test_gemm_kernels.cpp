@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -127,6 +129,78 @@ TEST(GemmBlocked, FusedBiasReluMatchesSeparate) {
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_FLOAT_EQ(relu_ref.flat()[i], y.flat()[i]);
   }
+}
+
+// Row independence (the contract in tensor/ops.hpp). M sweeps 1 .. 4*6+5 so
+// rows take every path: 6-row and 4-row micro-kernels, edge rows, dot
+// products, packed and unpacked B. N = 24/40 leave an n-tail after the
+// 16-wide panels; every K is within one k-tile.
+using RawGemm = void (*)(const float*, const float*, float*, std::size_t,
+                         std::size_t, std::size_t, bool);
+constexpr std::size_t kMaxRows = 4 * 6 + 5;
+
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+// Row r of an m-row call with A's other rows replaced by `fill`.
+std::vector<float> row_of_call(RawGemm kernel, const std::vector<float>& a,
+                               const std::vector<float>& fill,
+                               const std::vector<float>& b, std::size_t m,
+                               std::size_t r, std::size_t k, std::size_t n) {
+  std::vector<float> a_mixed(fill.begin(), fill.begin() + m * k);
+  std::copy(a.begin() + r * k, a.begin() + (r + 1) * k,
+            a_mixed.begin() + r * k);
+  std::vector<float> c(m * n);
+  kernel(a_mixed.data(), b.data(), c.data(), m, k, n, false);
+  return {c.begin() + r * n, c.begin() + (r + 1) * n};
+}
+
+// Checks that row r of every m-row call equals the same row computed alone
+// (m = 1) for m < alone_below, and in every case does not change when the
+// other rows of A do.
+void expect_rows_independent(RawGemm kernel, std::size_t alone_below,
+                             const char* name) {
+  Rng rng(47);
+  for (const std::size_t k : {12, 16, 24, 256}) {
+    for (const std::size_t n : {24, 32, 40}) {
+      const auto a = random_buf(kMaxRows * k, rng, true);
+      const auto fill = random_buf(kMaxRows * k, rng, false);
+      const auto b = random_buf(k * n, rng, false);  // (k,n) or (n,k)
+      for (std::size_t m = 1; m <= kMaxRows; ++m) {
+        std::vector<float> c_all(m * n);
+        kernel(a.data(), b.data(), c_all.data(), m, k, n, false);
+        for (std::size_t r = 0; r < m; ++r) {
+          const std::vector<float> row(c_all.begin() + r * n,
+                                       c_all.begin() + (r + 1) * n);
+          const auto mixed = row_of_call(kernel, a, fill, b, m, r, k, n);
+          ASSERT_EQ(bits(row), bits(mixed))
+              << name << " row " << r << " of m=" << m << " k=" << k
+              << " n=" << n << " changed with the other rows";
+          if (m < alone_below) {
+            std::vector<float> alone(n);
+            kernel(a.data() + r * k, b.data(), alone.data(), 1, k, n, false);
+            ASSERT_EQ(bits(row), bits(alone))
+                << name << " row " << r << " of m=" << m << " k=" << k
+                << " n=" << n << " differs from the row alone";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmBlocked, RowsIndependentOfBatch) {
+  expect_rows_independent(&ops::gemm_raw, kMaxRows + 1, "gemm_raw");
+}
+
+// gemm_nt_raw sums k sequentially in its micro-kernel (m >= 2*6) but by a
+// SIMD reduction in its dot-product path (fewer rows, and the last m % 6 < 4
+// rows), so a row matches the row alone only below the packing threshold.
+TEST(GemmBlocked, NtRowsIndependentOfOtherRows) {
+  expect_rows_independent(&ops::gemm_nt_raw, 2 * 6, "gemm_nt_raw");
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Model-level tests: gradient checks of every backward pass, overfitting
-// sanity, clone independence, and chunked-evaluation consistency.
+// sanity, clone independence, and exactness of batched text evaluation.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "core/config_pool.hpp"
+#include "fl/evaluator.hpp"
+#include "hpo/search_space.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/mlp.hpp"
 #include "nn/text_models.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace fedtune::nn {
@@ -161,25 +165,179 @@ TEST(Model, ErrorRateEmptyClientIsOne) {
   EXPECT_DOUBLE_EQ(model.error_rate(empty), 1.0);
 }
 
-TEST(TextMlp, ChunkedEvalMatchesSmallBatches) {
-  Rng rng(8);
-  TextMlp model(6, 2, 4, 5);
-  model.init(rng);
-  // > 256 sequences forces the chunked path in errors().
-  const data::ClientData big = small_token_client(rng, 600, 5, 6);
-  const auto [wrong, total] = model.errors(big);
-  EXPECT_EQ(total, 600u * 3u);  // (5 - 2) predictions per sequence
+struct TextDims {
+  std::size_t vocab, context, embed, hidden;
+};
 
-  // Reference: accumulate per-sequence errors one at a time.
-  std::size_t wrong_ref = 0;
-  for (std::size_t i = 0; i < 600; ++i) {
-    data::ClientData one;
-    one.seq_len = 5;
-    const auto seq = big.sequence(i);
-    one.tokens.assign(seq.begin(), seq.end());
-    wrong_ref += model.errors(one).first;
+TextMlp make_text_mlp(const TextDims& d) {
+  return TextMlp(d.vocab, d.context, d.embed, d.hidden);
+}
+
+// Every parameter random, biases included, so predictions vary by context.
+void randomize(Model& model, Rng& rng) {
+  for (float& v : model.params()) v = static_cast<float>(rng.normal());
+}
+
+// Reference TextMlp evaluation: one forward row per predicted position,
+// rebuilt from the layers over a copy of the model's parameters.
+std::pair<std::size_t, std::size_t> per_position_errors(
+    const Model& model, const TextDims& d, const data::ClientData& client) {
+  ParamStore store;
+  const Embedding embed(store, d.vocab, d.embed);
+  const Linear hidden(store, d.context * d.embed, d.hidden);
+  const Linear out(store, d.hidden, d.vocab);
+  EXPECT_EQ(store.size(), model.num_params());
+  std::copy(model.params().begin(), model.params().end(),
+            store.values().begin());
+  if (client.num_examples() == 0) return {0, 0};
+  const std::size_t rows = client.num_examples() * (client.seq_len - d.context);
+  Matrix x(rows, d.context * d.embed), pre, act, logits;
+  std::vector<std::int32_t> ids(rows), labels(rows);
+  for (std::size_t j = 0; j < d.context; ++j) {
+    std::size_t p = 0;
+    for (std::size_t s = 0; s < client.num_examples(); ++s) {
+      const auto seq = client.sequence(s);
+      for (std::size_t t = d.context; t < client.seq_len; ++t, ++p) {
+        ids[p] = seq[t - d.context + j];
+        labels[p] = seq[t];
+      }
+    }
+    embed.forward(ids, x, j * d.embed);
   }
-  EXPECT_EQ(wrong, wrong_ref);
+  hidden.forward(x, pre);
+  ops::tanh_forward(pre, act);
+  out.forward(act, logits);
+  return {ops::count_errors(logits, labels), rows};
+}
+
+double rate(std::pair<std::size_t, std::size_t> count) {
+  return count.second == 0 ? 1.0
+                           : static_cast<double>(count.first) /
+                                 static_cast<double>(count.second);
+}
+
+TEST(TextMlp, BatchedEvalMatchesPerPositionReference) {
+  Rng rng(8);
+  // vocab^context: 6, 36, 1728 (more contexts than positions requested),
+  // 625, and 90000 > kMaxContexts (per-position evaluation).
+  const std::vector<TextDims> dims = {
+      {6, 1, 4, 5}, {6, 2, 4, 5}, {12, 3, 3, 7}, {5, 4, 2, 6}, {300, 2, 3, 5}};
+  ASSERT_GT(300u * 300u, TextMlp::kMaxContexts);
+  for (const TextDims& d : dims) {
+    TextMlp model = make_text_mlp(d);
+    randomize(model, rng);
+    std::vector<data::ClientData> clients;
+    for (const std::size_t n : {40, 1, 0, 7, 300}) {
+      clients.push_back(small_token_client(rng, n, d.context + 3, d.vocab));
+    }
+    // Out of order, repeated, and the empty client in the middle.
+    const std::vector<std::size_t> which = {4, 0, 2, 1, 0, 3};
+    std::vector<double> batched(which.size());
+    model.error_rates(clients, which, batched);
+    for (std::size_t i = 0; i < which.size(); ++i) {
+      const data::ClientData& client = clients[which[i]];
+      const auto ref = per_position_errors(model, d, client);
+      EXPECT_EQ(model.errors(client), ref)
+          << "vocab=" << d.vocab << " context=" << d.context;
+      EXPECT_EQ(batched[i], rate(ref))
+          << "vocab=" << d.vocab << " context=" << d.context << " i=" << i;
+    }
+  }
+}
+
+TEST(TextMlp, BatchedEvalKeepsInputChecks) {
+  Rng rng(11);
+  const TextDims d{6, 2, 4, 5};
+  TextMlp model = make_text_mlp(d);
+  randomize(model, rng);
+  const data::ClientData good = small_token_client(rng, 20, 5, 6);
+  const data::ClientData empty = small_token_client(rng, 0, 5, 6);
+  data::ClientData bad_token = good;
+  bad_token.tokens[27] = 6;  // a context token of sequence 5
+  const data::ClientData too_short = small_token_client(rng, 3, 2, 6);
+
+  const std::vector<data::ClientData> clients = {good, bad_token, too_short,
+                                                 empty};
+  std::vector<double> out(2);
+  for (const std::size_t bad : {1, 2}) {
+    const std::vector<std::size_t> which = {0, bad};
+    EXPECT_THROW(model.error_rates(clients, which, out), std::invalid_argument);
+    EXPECT_THROW(model.errors(clients[bad]), std::invalid_argument);
+  }
+  EXPECT_DOUBLE_EQ(model.error_rate(empty), 1.0);
+  const std::vector<std::size_t> which = {3, 0};
+  model.error_rates(clients, which, out);
+  EXPECT_DOUBLE_EQ(out[0], 1.0);
+  // An interrupted call leaves no stale context rows behind.
+  EXPECT_EQ(out[1], rate(per_position_errors(model, d, good)));
+}
+
+TEST(TextMlp, ClientErrorsSerialEqualsParallel) {
+  Rng rng(12);
+  const data::FederatedDataset ds = testutil::small_text_dataset();
+  TextMlp model(ds.vocab_size(), 2, 4, 6);
+  randomize(model, rng);
+  std::vector<std::size_t> which(ds.eval_clients.size());
+  std::iota(which.rbegin(), which.rend(), std::size_t{0});
+  const auto serial = fl::client_errors(model, ds.eval_clients, which, 1);
+  const auto parallel = fl::client_errors(model, ds.eval_clients, which, 0);
+  EXPECT_EQ(serial, parallel);
+  for (std::size_t i = 0; i < which.size(); ++i) {
+    EXPECT_EQ(serial[i], model.error_rate(ds.eval_clients[which[i]]));
+  }
+}
+
+// TextMlp that evaluates per position through the default
+// Model::error_rates loop: the reference a pool build must match.
+class PerPositionTextMlp final : public Model {
+ public:
+  explicit PerPositionTextMlp(const TextDims& d)
+      : d_(d), inner_(make_text_mlp(d)) {}
+
+  std::size_t num_params() const override { return inner_.num_params(); }
+  std::span<float> params() override { return inner_.params(); }
+  std::span<const float> params() const override { return inner_.params(); }
+  std::span<float> grads() override { return inner_.grads(); }
+  void zero_grad() override { inner_.zero_grad(); }
+  void init(Rng& rng) override { inner_.init(rng); }
+  double forward_backward(const data::ClientData& client,
+                          std::span<const std::size_t> idx) override {
+    return inner_.forward_backward(client, idx);
+  }
+  std::pair<std::size_t, std::size_t> errors(
+      const data::ClientData& client) const override {
+    return per_position_errors(inner_, d_, client);
+  }
+  std::unique_ptr<Model> clone_architecture() const override {
+    return std::make_unique<PerPositionTextMlp>(d_);
+  }
+
+ private:
+  TextDims d_;
+  TextMlp inner_;
+};
+
+TEST(TextMlp, PoolBuildMatchesPerPositionEvaluation) {
+  const data::FederatedDataset ds = testutil::small_text_dataset();
+  const TextDims d{ds.vocab_size(), 2, 4, 6};
+  core::PoolBuildOptions opts;
+  opts.num_configs = 4;
+  opts.checkpoints = {1, 3};
+  opts.trainer.clients_per_round = 5;
+  opts.num_threads = 2;
+  const auto space = hpo::appendix_b_space();
+  const core::ConfigPool batched =
+      core::ConfigPool::build(ds, make_text_mlp(d), space, opts);
+  const core::ConfigPool reference =
+      core::ConfigPool::build(ds, PerPositionTextMlp(d), space, opts);
+  for (std::size_t c = 0; c < opts.num_configs; ++c) {
+    for (std::size_t ck = 0; ck < opts.checkpoints.size(); ++ck) {
+      const auto a = batched.view().errors(c, ck);
+      const auto b = reference.view().errors(c, ck);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "config " << c << " checkpoint " << ck;
+    }
+  }
 }
 
 TEST(TextMlp, RejectsTooShortSequences) {
