@@ -26,6 +26,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace fedtune {
@@ -93,5 +94,18 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+// Runs fn(i) for i in [0, n) on the global pool and returns the results by
+// index: slot i holds fn(i) whichever thread ran it. Independent repeated
+// trials use it — each keys its stream off its index (rng.split(i)), and
+// callers reduce the slots in index order, so the result is bitwise the
+// serial loop's. Nested calls run inline (see the nesting contract above).
+template <class Fn>
+auto parallel_map(std::size_t n, Fn&& fn)
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
+  std::vector<std::invoke_result_t<Fn&, std::size_t>> out(n);
+  ThreadPool::global().parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
+}
 
 }  // namespace fedtune

@@ -153,7 +153,7 @@ LocalSearchTuner::LocalSearchTuner(std::unique_ptr<Tuner> inner,
       rng_(rng) {}
 
 void LocalSearchTuner::set_candidate_pool(const CandidatePool& pool) {
-  pool_configs_ = pool.configs;
+  pool_configs_.assign(pool.configs.begin(), pool.configs.end());
   pool_encoded_.clear();
   pool_encoded_.reserve(pool_configs_.size());
   for (const Config& c : pool_configs_) pool_encoded_.push_back(space_.encode(c));

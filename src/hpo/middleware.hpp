@@ -252,6 +252,8 @@ class LocalSearchTuner : public TunerMiddleware {
   LocalSearchTuner(std::unique_ptr<Tuner> inner, SearchSpace space,
                    LocalSearchOptions options, Rng rng);
 
+  // Copies the pool's configs: unlike the base tuners, this one keeps its
+  // own list, so the borrowed pool need not outlive it.
   void set_candidate_pool(const CandidatePool& pool);
 
   std::optional<Trial> ask() override;

@@ -4,8 +4,7 @@
 
 namespace fedtune::hpo {
 
-ConfigProposal uniform_pool_draw(const std::vector<Config>& configs,
-                                 Rng& rng) {
+ConfigProposal uniform_pool_draw(std::span<const Config> configs, Rng& rng) {
   FEDTUNE_CHECK(!configs.empty());
   ConfigProposal p;
   p.config_index = static_cast<std::size_t>(rng.uniform_int(
@@ -14,8 +13,8 @@ ConfigProposal uniform_pool_draw(const std::vector<Config>& configs,
   return p;
 }
 
-ConfigProvider uniform_pool_provider(std::vector<Config> configs) {
-  return [configs = std::move(configs)](Rng& rng) {
+ConfigProvider uniform_pool_provider(std::span<const Config> configs) {
+  return [configs](Rng& rng) {
     return uniform_pool_draw(configs, rng);
   };
 }

@@ -35,9 +35,10 @@ using ConfigProvider = std::function<ConfigProposal(Rng&)>;
 // shared by Hyperband's pool mode, standalone SHA brackets, and the
 // StudyService (whose replay contract depends on every pool tuner using
 // this exact draw sequence).
-ConfigProposal uniform_pool_draw(const std::vector<Config>& configs, Rng& rng);
-// The draw as a ConfigProvider (owns a copy of the pool's config list).
-ConfigProvider uniform_pool_provider(std::vector<Config> configs);
+ConfigProposal uniform_pool_draw(std::span<const Config> configs, Rng& rng);
+// The draw as a ConfigProvider. Borrows the configs like CandidatePool: they
+// must outlive the provider.
+ConfigProvider uniform_pool_provider(std::span<const Config> configs);
 
 // Rung arithmetic, exposed for planning and tests: the resource at each rung
 // and the number of entrants per rung.

@@ -12,11 +12,6 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-double gaussian_log_pdf(double x, double mu, double sigma) {
-  const double z = (x - mu) / sigma;
-  return -0.5 * (z * z + kLog2Pi) - std::log(sigma);
-}
-
 // Silverman's rule over the group's values in one dim, floored.
 double bandwidth(const std::vector<const std::vector<double>*>& group,
                  std::size_t dim, double floor_bw) {
@@ -53,7 +48,7 @@ void TpeDensityModel::clear() {
   ys_.clear();
 }
 
-TpeDensityModel::Groups TpeDensityModel::split() const {
+TpeDensityModel::Scorer TpeDensityModel::make_scorer() const {
   FEDTUNE_CHECK(ready());
   const std::size_t n = ys_.size();
   const auto n_good = std::max<std::size_t>(
@@ -62,85 +57,112 @@ TpeDensityModel::Groups TpeDensityModel::split() const {
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return ys_[a] < ys_[b]; });
-  Groups g;
+  std::vector<const std::vector<double>*> good, bad;
   for (std::size_t i = 0; i < n; ++i) {
-    (i < n_good ? g.good : g.bad).push_back(&xs_[order[i]]);
+    (i < n_good ? good : bad).push_back(&xs_[order[i]]);
   }
-  if (g.bad.empty()) {  // degenerate tiny history: reuse good as bad
-    g.bad = g.good;
+  if (bad.empty()) {  // degenerate tiny history: reuse good as bad
+    bad = good;
   }
-  return g;
+  Scorer scorer{make_group(std::move(good)), make_group(std::move(bad)), {}};
+  scorer.kernel_log_pdf.resize(n);
+  return scorer;
 }
 
-double TpeDensityModel::log_density(
-    const std::vector<double>& encoded,
-    const std::vector<const std::vector<double>*>& group) const {
+TpeDensityModel::Group TpeDensityModel::make_group(
+    std::vector<const std::vector<double>*> members) const {
   const std::size_t dims = space_->num_dims();
-  FEDTUNE_CHECK(encoded.size() == dims);
-  double total = 0.0;
+  Group g;
+  g.members = std::move(members);
+  g.bandwidth.assign(dims, 0.0);
+  g.log_bandwidth.assign(dims, 0.0);
+  g.counts.resize(dims);
+  g.log_freq.resize(dims);
   for (std::size_t d = 0; d < dims; ++d) {
     const ParamSpec& spec = space_->dim_spec(d);
     if (spec.kind == ParamSpec::Kind::kChoice) {
       // Smoothed categorical frequency.
       const std::size_t n_cat = spec.choices.size();
-      std::vector<double> counts(n_cat, opts_.prior_weight / static_cast<double>(n_cat));
+      std::vector<double>& counts = g.counts[d];
+      counts.assign(n_cat, opts_.prior_weight / static_cast<double>(n_cat));
       double total_count = opts_.prior_weight;
-      for (const auto* x : group) {
+      for (const auto* x : g.members) {
         const auto c = static_cast<std::size_t>(std::clamp<double>(
             std::round((*x)[d]), 0.0, static_cast<double>(n_cat - 1)));
         counts[c] += 1.0;
         total_count += 1.0;
       }
+      for (const double count : counts) {
+        g.log_freq[d].push_back(std::log(count / total_count));
+      }
+    } else {
+      g.bandwidth[d] = bandwidth(g.members, d, opts_.bandwidth_floor);
+      g.log_bandwidth[d] = std::log(g.bandwidth[d]);
+    }
+  }
+  return g;
+}
+
+double TpeDensityModel::log_density(const std::vector<double>& encoded,
+                                    const Group& group,
+                                    std::vector<double>& scratch) const {
+  const std::size_t dims = space_->num_dims();
+  FEDTUNE_CHECK(encoded.size() == dims);
+  const std::size_t n = group.members.size();
+  double total = 0.0;
+  for (std::size_t d = 0; d < dims; ++d) {
+    const ParamSpec& spec = space_->dim_spec(d);
+    if (spec.kind == ParamSpec::Kind::kChoice) {
+      const std::size_t n_cat = spec.choices.size();
       const auto c = static_cast<std::size_t>(std::clamp<double>(
           std::round(encoded[d]), 0.0, static_cast<double>(n_cat - 1)));
-      total += std::log(counts[c] / total_count);
+      total += group.log_freq[d][c];
     } else {
       // Parzen mixture of Gaussians (untruncated; the shared support of l
       // and g makes the normalization cancel in the EI ratio).
-      const double bw = bandwidth(group, d, opts_.bandwidth_floor);
+      const double bw = group.bandwidth[d];
+      const double log_bw = group.log_bandwidth[d];
       double acc = -std::numeric_limits<double>::infinity();
-      for (const auto* x : group) {
-        acc = std::max(acc, gaussian_log_pdf(encoded[d], (*x)[d], bw));
+      for (std::size_t i = 0; i < n; ++i) {
+        const double z = (encoded[d] - (*group.members[i])[d]) / bw;
+        scratch[i] = -0.5 * (z * z + kLog2Pi) - log_bw;
+        acc = std::max(acc, scratch[i]);
       }
       // log-sum-exp over kernels (max + correction).
       double sum = 0.0;
-      for (const auto* x : group) {
-        sum += std::exp(gaussian_log_pdf(encoded[d], (*x)[d], bw) - acc);
-      }
-      total += acc + std::log(sum / static_cast<double>(group.size()));
+      for (std::size_t i = 0; i < n; ++i) sum += std::exp(scratch[i] - acc);
+      total += acc + std::log(sum / static_cast<double>(n));
     }
   }
   return total;
 }
 
-double TpeDensityModel::acquisition(const std::vector<double>& encoded) const {
-  const Groups groups = split();
-  return log_density(encoded, groups.good) - log_density(encoded, groups.bad);
+double TpeDensityModel::score(Scorer& scorer,
+                              const std::vector<double>& encoded) const {
+  return log_density(encoded, scorer.good, scorer.kernel_log_pdf) -
+         log_density(encoded, scorer.bad, scorer.kernel_log_pdf);
 }
 
-std::vector<double> TpeDensityModel::sample_from_good(Rng& rng) const {
-  const Groups groups = split();
+double TpeDensityModel::acquisition(const std::vector<double>& encoded) const {
+  Scorer scorer = make_scorer();
+  return score(scorer, encoded);
+}
+
+std::vector<double> TpeDensityModel::sample_from_good(const Group& good,
+                                                      Rng& rng) const {
   const std::size_t dims = space_->num_dims();
   const auto& anchor =
-      *groups.good[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(groups.good.size()) - 1))];
+      *good.members[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(good.members.size()) - 1))];
   std::vector<double> out(dims);
   for (std::size_t d = 0; d < dims; ++d) {
     const ParamSpec& spec = space_->dim_spec(d);
     if (spec.kind == ParamSpec::Kind::kChoice) {
       // Sample a category from the smoothed good histogram.
-      const std::size_t n_cat = spec.choices.size();
-      std::vector<double> counts(n_cat,
-                                 opts_.prior_weight / static_cast<double>(n_cat));
-      for (const auto* x : groups.good) {
-        const auto c = static_cast<std::size_t>(std::clamp<double>(
-            std::round((*x)[d]), 0.0, static_cast<double>(n_cat - 1)));
-        counts[c] += 1.0;
-      }
-      out[d] = static_cast<double>(rng.categorical(counts));
+      out[d] = static_cast<double>(rng.categorical(good.counts[d]));
     } else {
-      const double bw = bandwidth(groups.good, d, opts_.bandwidth_floor);
-      out[d] = std::clamp(anchor[d] + rng.normal(0.0, bw), 0.0, 1.0);
+      out[d] = std::clamp(anchor[d] + rng.normal(0.0, good.bandwidth[d]), 0.0,
+                          1.0);
     }
   }
   return out;
@@ -151,13 +173,14 @@ Config TpeDensityModel::propose(Rng& rng, const std::vector<Config>* pool) const
   if (pool != nullptr) {
     return (*pool)[propose_pool_index(rng, *pool)];
   }
+  Scorer scorer = make_scorer();
   std::vector<double> best;
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < opts_.n_candidates; ++c) {
-    std::vector<double> cand = sample_from_good(rng);
-    const double score = acquisition(cand);
-    if (score > best_score) {
-      best_score = score;
+    std::vector<double> cand = sample_from_good(scorer.good, rng);
+    const double value = score(scorer, cand);
+    if (value > best_score) {
+      best_score = value;
       best = std::move(cand);
     }
   }
@@ -165,7 +188,7 @@ Config TpeDensityModel::propose(Rng& rng, const std::vector<Config>* pool) const
 }
 
 std::size_t TpeDensityModel::propose_pool_index(
-    Rng& rng, const std::vector<Config>& pool) const {
+    Rng& rng, std::span<const Config> pool) const {
   FEDTUNE_CHECK(ready());
   FEDTUNE_CHECK(!pool.empty());
   // Score a random subset (or all, if small) to bound cost on large pools.
@@ -177,12 +200,13 @@ std::size_t TpeDensityModel::propose_pool_index(
     candidates = rng.sample_without_replacement(pool.size(),
                                                 4 * opts_.n_candidates);
   }
+  Scorer scorer = make_scorer();
   std::size_t best = candidates.front();
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t i : candidates) {
-    const double score = acquisition(space_->encode(pool[i]));
-    if (score > best_score) {
-      best_score = score;
+    const double value = score(scorer, space_->encode(pool[i]));
+    if (value > best_score) {
+      best_score = value;
       best = i;
     }
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "hpo/tuner.hpp"
 
@@ -43,20 +44,36 @@ class TpeDensityModel {
   // pool entry), else by sampling candidates from l(x).
   Config propose(Rng& rng, const std::vector<Config>* pool = nullptr) const;
   // Index variant for pool proposals.
-  std::size_t propose_pool_index(Rng& rng, const std::vector<Config>& pool) const;
+  std::size_t propose_pool_index(Rng& rng, std::span<const Config> pool) const;
 
   // log l(x) - log g(x) for an encoded point (higher = more promising).
   double acquisition(const std::vector<double>& encoded) const;
 
  private:
-  struct Groups {
-    std::vector<const std::vector<double>*> good, bad;
+  // One Parzen group (good or bad) with everything a density evaluation
+  // needs that does not depend on the scored point: per-dimension kernel
+  // bandwidths (continuous dims) and smoothed category counts with their
+  // log-frequencies (choice dims). Built once per proposal and shared by
+  // every candidate it scores.
+  struct Group {
+    std::vector<const std::vector<double>*> members;
+    std::vector<double> bandwidth;               // [dim]; continuous dims
+    std::vector<double> log_bandwidth;           // log(bandwidth)
+    std::vector<std::vector<double>> counts;     // [dim][category]; choice dims
+    std::vector<std::vector<double>> log_freq;   // log(counts / total)
   };
-  Groups split() const;
+  struct Scorer {
+    Group good, bad;
+    std::vector<double> kernel_log_pdf;  // scratch, one entry per member
+  };
+  Scorer make_scorer() const;
+  Group make_group(std::vector<const std::vector<double>*> members) const;
+  // log l(x) - log g(x) under a prepared scorer.
+  double score(Scorer& scorer, const std::vector<double>& encoded) const;
   // Per-dim log-density of `encoded` under a Parzen mixture over `group`.
-  double log_density(const std::vector<double>& encoded,
-                     const std::vector<const std::vector<double>*>& group) const;
-  std::vector<double> sample_from_good(Rng& rng) const;
+  double log_density(const std::vector<double>& encoded, const Group& group,
+                     std::vector<double>& scratch) const;
+  std::vector<double> sample_from_good(const Group& good, Rng& rng) const;
 
   const SearchSpace* space_;
   TpeOptions opts_;

@@ -95,8 +95,14 @@ class Tuner {
 // Optional candidate pool: tuners draw configurations from a finite,
 // pre-trained set instead of the continuous space (the paper's bootstrap
 // protocol; see DESIGN.md). Draws are with replacement for random sampling.
+//
+// The pool BORROWS its configs: the vector (or array) they live in must
+// outlive every tuner the pool is installed in. Pool simulations build one
+// tuner per trial over the same shared ConfigPool, so copying the configs
+// into each tuner would dominate their set-up. service::StudySession keeps
+// the contract by declaring its pool resources before its tuner.
 struct CandidatePool {
-  std::vector<Config> configs;
+  std::span<const Config> configs;
 };
 
 }  // namespace fedtune::hpo

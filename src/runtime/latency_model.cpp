@@ -34,8 +34,12 @@ LatencyDraw LatencyModel::draw(std::size_t client_id, std::uint64_t work_key,
   double compute = 0.0;
   switch (cfg_.kind) {
     case LatencyKind::kLognormal:
-      compute = std::exp(r.normal(cfg_.lognormal_log_mean,
-                                  cfg_.lognormal_sigma));
+      // A standard normal scaled by hand: std::normal_distribution requires
+      // sigma > 0, and sigma = 0 (no compute spread) is a valid config. It
+      // consumes the same engine draws and yields the same values as
+      // normal(mean, sigma) for sigma > 0.
+      compute = std::exp(r.normal() * cfg_.lognormal_sigma +
+                         cfg_.lognormal_log_mean);
       break;
     case LatencyKind::kShiftedExponential:
       compute = cfg_.shifted_exp_shift +

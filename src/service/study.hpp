@@ -265,8 +265,10 @@ class StudySession {
 };
 
 // Tuner construction for a study (shared with tests): managed studies build
-// pool-mode tuners via sim::make_pool_tuner / make_pool_sha_tuner; external
-// studies search the Appendix-B space on the spec's fidelity grid.
+// pool-mode tuners via sim::make_pool_tuner / make_pool_sha_tuner, which
+// borrow pool->configs (so *pool must outlive the tuner; StudySession keeps
+// pool_ declared before tuner_); external studies search the Appendix-B
+// space on the spec's fidelity grid.
 std::unique_ptr<hpo::Tuner> make_study_tuner(
     const StudySpec& spec, const PoolResources* pool, Rng rng);
 

@@ -25,7 +25,7 @@ std::vector<std::size_t> budget_grid(std::size_t max_rounds,
 }
 
 AggregatedCurve aggregate_curves(
-    const std::vector<std::vector<core::CurvePoint>>& trial_curves,
+    std::span<const std::vector<core::CurvePoint>> trial_curves,
     std::span<const std::size_t> grid, double initial) {
   FEDTUNE_CHECK(!trial_curves.empty());
   AggregatedCurve out;

@@ -26,7 +26,7 @@ struct AggregatedCurve {
 };
 
 AggregatedCurve aggregate_curves(
-    const std::vector<std::vector<core::CurvePoint>>& trial_curves,
+    std::span<const std::vector<core::CurvePoint>> trial_curves,
     std::span<const std::size_t> grid, double initial = 1.0);
 
 }  // namespace fedtune::sim

@@ -8,6 +8,15 @@
 // configs (medians and quartiles reported), 8 trials for the method
 // comparisons, and live federated training where the protocol requires it
 // (Fig. 13).
+//
+// Pool-simulation trials are independent, so every trial loop fans out over
+// ThreadPool::global() through parallel_map. Trial i draws only from its own
+// stream (a split of the experiment seed keyed by the trial's index), and
+// results are aggregated in index order, so every table is bitwise the
+// serial one at any thread count. Small loops are flattened — e.g. Fig. 8
+// and the bar figures fan out over method x setting x trial — so each
+// fan-out has enough items to fill the pool. PoolHub lookups happen before
+// a fan-out, never inside one.
 #pragma once
 
 #include "common/stats.hpp"
@@ -99,6 +108,14 @@ Table ablation_rank_fidelity(data::BenchmarkId id, std::size_t trials = 20,
 // Repeated-evaluation averaging under subsampling and DP.
 Table ablation_repeated_evaluation(data::BenchmarkId id,
                                    const BootstrapOptions& opts = {});
+
+// One trial of ablation_repeated_evaluation: RS over `rs_configs` uniform
+// pool draws at the final checkpoint, each scored as the mean of `reevals`
+// noisy evaluations; returns the full error of the best-scoring draw.
+double repeated_evaluation_trial(const core::PoolEvalView& view,
+                                 const core::NoiseModel& noise,
+                                 std::size_t rs_configs, std::size_t reevals,
+                                 Rng trial_rng);
 
 // --- SysSim (runtime/, experiments_systems.cpp) ----------------------------
 

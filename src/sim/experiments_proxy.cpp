@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "common/stats.hpp"
 #include "core/proxy.hpp"
 #include "sim/curve_utils.hpp"
@@ -60,19 +61,20 @@ Table fig11_proxy_grid(const BootstrapOptions& opts) {
   PoolHub& hub = PoolHub::instance();
 
   Table table({"proxy", "client", "err_q25", "err_median", "err_q75"});
-  Rng rng(opts.seed);
+  const Rng rng(opts.seed);
   for (data::BenchmarkId proxy : data::all_benchmarks()) {
     const core::PoolEvalView& proxy_view = hub.view(proxy);
     for (data::BenchmarkId client : data::all_benchmarks()) {
       const core::PoolEvalView& client_view = hub.view(client);
-      std::vector<double> errors(opts.trials);
-      for (std::size_t t = 0; t < opts.trials; ++t) {
-        Rng trial_rng = rng.split(t * 17 + static_cast<std::size_t>(proxy) * 3 +
-                                  static_cast<std::size_t>(client) * 29);
-        errors[t] = core::one_shot_proxy_rs(proxy_view, client_view,
-                                            opts.rs_configs, trial_rng)
-                        .client_full_error;
-      }
+      const std::vector<double> errors =
+          parallel_map(opts.trials, [&](std::size_t t) {
+            Rng trial_rng =
+                rng.split(t * 17 + static_cast<std::size_t>(proxy) * 3 +
+                          static_cast<std::size_t>(client) * 29);
+            return core::one_shot_proxy_rs(proxy_view, client_view,
+                                           opts.rs_configs, trial_rng)
+                .client_full_error;
+          });
       const stats::QuartileSummary q = stats::quartiles(errors);
       table.add_row({data::benchmark_name(proxy), data::benchmark_name(client),
                      Table::format(100.0 * q.q25),
@@ -94,7 +96,7 @@ Table fig12_proxy_vs_private(data::BenchmarkId id,
 
   Table table({"dataset", "series", "rounds", "err_q25", "err_median",
                "err_q75"});
-  Rng rng(opts.seed);
+  const Rng rng(opts.seed);
 
   // Noisy-evaluation RS: 1% subsample, eps in {1, 10, inf}.
   const std::size_t one_pct = std::max<std::size_t>(
@@ -105,15 +107,15 @@ Table fig12_proxy_vs_private(data::BenchmarkId id,
     noise.eval_clients = one_pct;
     noise.epsilon = eps;
     noise.weighting = fl::Weighting::kUniform;
-    std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
-      curves[t] = run_pool_method(
-                      Method::kRandomSearch, pool.configs(), view, noise,
-                      opts.rs_configs,
-                      rng.split(t + (std::isinf(eps) ? 0 : static_cast<std::size_t>(eps)) * 131)
-                          .seed())
-                      .incumbent_curve;
-    }
+    const std::size_t salt =
+        (std::isinf(eps) ? 0 : static_cast<std::size_t>(eps)) * 131;
+    const std::vector<std::vector<core::CurvePoint>> curves =
+        parallel_map(opts.trials, [&](std::size_t t) {
+          return run_pool_method(Method::kRandomSearch, pool.configs(), view,
+                                 noise, opts.rs_configs,
+                                 rng.split(t + salt).seed())
+              .incumbent_curve;
+        });
     const AggregatedCurve agg = aggregate_curves(curves, grid);
     std::string label = std::isinf(eps)
                             ? std::string("rs_eps=inf")
@@ -131,12 +133,13 @@ Table fig12_proxy_vs_private(data::BenchmarkId id,
   // the paper's upper-bound reference).
   for (data::BenchmarkId proxy : data::all_benchmarks()) {
     const core::PoolEvalView& proxy_view = hub.view(proxy);
-    std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
-      Rng trial_rng = rng.split(9000 + t * 13 + static_cast<std::size_t>(proxy));
-      curves[t] = core::one_shot_proxy_rs_curve(
-          proxy_view, view, opts.rs_configs, rounds_per_config, trial_rng);
-    }
+    const std::vector<std::vector<core::CurvePoint>> curves =
+        parallel_map(opts.trials, [&](std::size_t t) {
+          Rng trial_rng =
+              rng.split(9000 + t * 13 + static_cast<std::size_t>(proxy));
+          return core::one_shot_proxy_rs_curve(
+              proxy_view, view, opts.rs_configs, rounds_per_config, trial_rng);
+        });
     const AggregatedCurve agg = aggregate_curves(curves, grid);
     for (std::size_t g = 0; g < agg.grid.size(); ++g) {
       table.add_row({data::benchmark_name(id),

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/rank_fidelity.hpp"
 #include "hpo/random_search.hpp"
 #include "sim/curve_utils.hpp"
@@ -35,18 +36,47 @@ std::string eps_label(double eps) {
 
 }  // namespace
 
+double repeated_evaluation_trial(const core::PoolEvalView& view,
+                                 const core::NoiseModel& noise,
+                                 std::size_t rs_configs, std::size_t reevals,
+                                 Rng trial_rng) {
+  // Manual RS loop: each config is evaluated `reevals` times and the noisy
+  // scores averaged; under DP the per-eval budget shrinks to
+  // eps / (K * reevals), so averaging fights a losing battle against the
+  // growing noise scale — the point of this ablation.
+  core::NoisyEvaluator evaluator(noise, view.client_weights(),
+                                 rs_configs * reevals, trial_rng.split(1));
+  const std::size_t ck = view.final_checkpoint();
+  double best_noisy = std::numeric_limits<double>::infinity();
+  double best_full = 1.0;
+  for (std::size_t j = 0; j < rs_configs; ++j) {
+    const auto c = static_cast<std::size_t>(trial_rng.uniform_int(
+        0, static_cast<std::int64_t>(view.num_configs()) - 1));
+    const std::vector<double> errors = view.errors_f64(c, ck);
+    double score = 0.0;
+    for (std::size_t r = 0; r < reevals; ++r) {
+      score += evaluator.evaluate(errors);
+    }
+    score /= static_cast<double>(reevals);
+    if (score < best_noisy) {
+      best_noisy = score;
+      best_full = evaluator.full_error(errors);
+    }
+  }
+  return best_full;
+}
+
 stats::QuartileSummary bootstrap_random_search(
     const std::vector<hpo::Config>& configs, const core::PoolEvalView& view,
     const core::NoiseModel& noise, const BootstrapOptions& opts) {
   FEDTUNE_CHECK(opts.trials > 0);
-  Rng rng(opts.seed);
-  std::vector<double> best_errors(opts.trials);
-  for (std::size_t t = 0; t < opts.trials; ++t) {
-    const core::TuneResult result =
-        run_pool_method(Method::kRandomSearch, configs, view, noise,
-                        opts.rs_configs, rng.split(t).seed());
-    best_errors[t] = result.best_full_error;
-  }
+  const Rng rng(opts.seed);
+  const std::vector<double> best_errors =
+      parallel_map(opts.trials, [&](std::size_t t) {
+        return run_pool_method(Method::kRandomSearch, configs, view, noise,
+                               opts.rs_configs, rng.split(t).seed())
+            .best_full_error;
+      });
   return stats::quartiles(best_errors);
 }
 
@@ -114,16 +144,16 @@ Table fig5_budget_tradeoff(data::BenchmarkId id, const BootstrapOptions& opts) {
 
   Table table({"dataset", "eval_clients", "rounds", "err_q25", "err_median",
                "err_q75"});
-  Rng rng(opts.seed);
+  const Rng rng(opts.seed);
   for (std::size_t s : levels) {
     core::NoiseModel noise;
     noise.eval_clients = s;
-    std::vector<std::vector<core::CurvePoint>> curves(opts.trials);
-    for (std::size_t t = 0; t < opts.trials; ++t) {
-      curves[t] = run_pool_method(Method::kRandomSearch, pool.configs(), view,
-                                  noise, opts.rs_configs, rng.split(t).seed())
-                      .incumbent_curve;
-    }
+    const std::vector<std::vector<core::CurvePoint>> curves =
+        parallel_map(opts.trials, [&](std::size_t t) {
+          return run_pool_method(Method::kRandomSearch, pool.configs(), view,
+                                 noise, opts.rs_configs, rng.split(t).seed())
+              .incumbent_curve;
+        });
     const AggregatedCurve agg = aggregate_curves(
         curves, budget_grid(total, opts.rs_configs));
     for (std::size_t g = 0; g < agg.grid.size(); ++g) {
@@ -222,44 +252,20 @@ Table ablation_repeated_evaluation(data::BenchmarkId id,
 
   Table table({"dataset", "epsilon", "reevals", "err_q25", "err_median",
                "err_q75"});
-  Rng rng(opts.seed);
+  const Rng rng(opts.seed);
   for (double eps : {kInf, 10.0}) {
     for (std::size_t reevals : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                 std::size_t{8}}) {
-      // Manual RS loop: each config is evaluated `reevals` times and the
-      // noisy scores averaged; under DP the per-eval budget shrinks to
-      // eps / (K * reevals), so averaging fights a losing battle against
-      // the growing noise scale — the point of this ablation.
-      std::vector<double> best_errors(opts.trials);
-      for (std::size_t t = 0; t < opts.trials; ++t) {
-        Rng trial_rng = rng.split(t * 100 + reevals +
-                                  (eps == kInf ? 0 : 7777));
-        core::NoiseModel noise;
-        noise.eval_clients = one_client;
-        noise.epsilon = eps;
-        if (noise.is_private()) noise.weighting = fl::Weighting::kUniform;
-        core::NoisyEvaluator evaluator(
-            noise, view.client_weights(), opts.rs_configs * reevals,
-            trial_rng.split(1));
-        const std::size_t ck = view.final_checkpoint();
-        double best_noisy = std::numeric_limits<double>::infinity();
-        double best_full = 1.0;
-        for (std::size_t j = 0; j < opts.rs_configs; ++j) {
-          const auto c = static_cast<std::size_t>(trial_rng.uniform_int(
-              0, static_cast<std::int64_t>(view.num_configs()) - 1));
-          const std::vector<double> errors = view.errors_f64(c, ck);
-          double score = 0.0;
-          for (std::size_t r = 0; r < reevals; ++r) {
-            score += evaluator.evaluate(errors);
-          }
-          score /= static_cast<double>(reevals);
-          if (score < best_noisy) {
-            best_noisy = score;
-            best_full = evaluator.full_error(errors);
-          }
-        }
-        best_errors[t] = best_full;
-      }
+      core::NoiseModel noise;
+      noise.eval_clients = one_client;
+      noise.epsilon = eps;
+      if (noise.is_private()) noise.weighting = fl::Weighting::kUniform;
+      const std::vector<double> best_errors =
+          parallel_map(opts.trials, [&](std::size_t t) {
+            return repeated_evaluation_trial(
+                view, noise, opts.rs_configs, reevals,
+                rng.split(t * 100 + reevals + (eps == kInf ? 0 : 7777)));
+          });
       const stats::QuartileSummary q = stats::quartiles(best_errors);
       table.add_row({data::benchmark_name(id), eps_label(eps),
                      std::to_string(reevals), Table::format(100.0 * q.q25),

@@ -14,15 +14,16 @@ namespace fedtune::sim {
 
 // Budget conventions matching the paper (scaled): RS/TPE train K configs to
 // the fidelity ceiling; HB/BOHB sweep all eta=3 brackets over the pool's
-// checkpoint grid.
+// checkpoint grid. The tuner borrows `configs` (hpo::CandidatePool): they
+// must outlive it.
 std::unique_ptr<hpo::Tuner> make_pool_tuner(
     Method method, const std::vector<hpo::Config>& configs,
     const core::PoolEvalView& view, std::size_t rs_configs, Rng rng);
 
 // Single SHA bracket over the pool's checkpoint grid (n0 entrants at the
 // grid's first rung, eta=3 eliminations up to its ceiling) — the fifth
-// method the StudyService offers (service/study.hpp). Self-contained: owns
-// the trial-id counter Hyperband normally shares across brackets.
+// method the StudyService offers (service/study.hpp). Owns the trial-id
+// counter Hyperband normally shares across brackets; borrows `configs`.
 std::unique_ptr<hpo::Tuner> make_pool_sha_tuner(
     const std::vector<hpo::Config>& configs, const core::PoolEvalView& view,
     std::size_t n0, Rng rng);

@@ -122,6 +122,33 @@ TEST_F(MethodRunnerFixture, DpBudgetScalesWithMethodEvaluationCount) {
             1.2 * mean_abs_noise(Method::kRandomSearch));
 }
 
+TEST_F(MethodRunnerFixture, BorrowedPoolTrialSequencesMatchRecorded) {
+  // Pool tuners borrow the config list instead of copying it; the issued
+  // trial sequence must be the one recorded when each tuner held its own
+  // copy. TPE and BOHB sequences also pin the model-based proposals.
+  const std::vector<std::vector<std::size_t>> recorded = {
+      {9, 0, 9, 7, 10, 5, 9, 2, 10, 9},
+      {9, 0, 9, 7, 2, 2, 0, 0, 0, 0},
+      {0, 11, 4, 2, 2, 10, 2, 3, 5, 0, 2, 2, 0, 2, 10, 1, 2, 8, 1, 8, 10, 9},
+      {0, 11, 4, 2, 2, 10, 2, 3, 5, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+  };
+  const std::vector<Method> methods = all_methods();
+  for (std::size_t m = 0; m < methods.size(); ++m) {
+    auto tuner = make_pool_tuner(methods[m], configs, view, 10, Rng(21));
+    std::vector<std::size_t> issued;
+    while (auto t = tuner->ask()) {
+      const double objective =
+          view.full_error(t->config_index,
+                          view.checkpoint_index(t->target_rounds),
+                          fl::Weighting::kUniform) +
+          0.013 * (t->id % 5);
+      tuner->tell(*t, objective);
+      issued.push_back(t->config_index);
+    }
+    EXPECT_EQ(issued, recorded[m]) << method_name(methods[m]);
+  }
+}
+
 TEST_F(MethodRunnerFixture, BohbRequiresPoolIndices) {
   // make_pool_tuner always wires the candidate pool; every issued trial must
   // carry a valid pool index for the PoolTrialRunner.

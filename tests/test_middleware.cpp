@@ -343,8 +343,9 @@ TEST(LocalSearchTuner, ContinuousRefinementImprovesDeterministically) {
 TEST(LocalSearchTuner, PoolModeVisitsNearestUnvisitedUntilExhausted) {
   const SearchSpace space = simple_space();
   Rng pool_rng(6);
-  CandidatePool pool;
-  for (int i = 0; i < 5; ++i) pool.configs.push_back(space.sample(pool_rng));
+  std::vector<Config> configs;
+  for (int i = 0; i < 5; ++i) configs.push_back(space.sample(pool_rng));
+  const CandidatePool pool{configs};
 
   auto inner = std::make_unique<RandomSearch>(space, 3, 1, Rng(7));
   inner->set_candidate_pool(pool);

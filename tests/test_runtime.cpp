@@ -100,6 +100,37 @@ TEST(LatencyModel, TierSlowdownScalesCompute) {
   }
 }
 
+TEST(LatencyModel, LognormalDrawsPinnedBitwise) {
+  // The lognormal draw scales a standard normal by sigma itself (so sigma = 0
+  // is legal); for sigma > 0 it must equal normal(mean, sigma) bit for bit,
+  // and the network jitter drawn after it must not shift. Recorded values.
+  runtime::LatencyConfig cfg;
+  cfg.lognormal_log_mean = 0.3;
+  cfg.lognormal_sigma = 0.6;
+  cfg.tier_slowdowns = {1.0, 4.0};
+  cfg.tier_weights = {0.7, 0.3};
+  cfg.network_base = 0.2;
+  cfg.network_jitter = 0.1;
+  cfg.dropout_prob = 0.1;
+  const runtime::LatencyModel model(cfg, Rng(11));
+  struct Pinned {
+    double compute, network;
+    bool dropped;
+  };
+  const Pinned pinned[] = {
+      {0x1.be579617db683p+2, 0x1.ded46e257bc4cp-3, false},
+      {0x1.b054b3c8372abp+0, 0x1.9ee5a42ec46e3p-3, false},
+      {0x1.8a9d908b909f4p+0, 0x1.d55b62809fc45p-3, true},
+      {0x1.191facdd52ad5p+1, 0x1.9cf76d22971dap-3, false},
+  };
+  for (std::size_t c = 0; c < 4; ++c) {
+    const runtime::LatencyDraw d = model.draw(c, 3 + c, 10);
+    EXPECT_EQ(d.compute_seconds, pinned[c].compute) << "client " << c;
+    EXPECT_EQ(d.network_seconds, pinned[c].network) << "client " << c;
+    EXPECT_EQ(d.dropped, pinned[c].dropped) << "client " << c;
+  }
+}
+
 // ------------------------------------------- scheduler helpers for tests --
 
 runtime::LatencyConfig test_latency_config() {

@@ -192,8 +192,9 @@ TEST(Hyperband, TrialIdsGloballyUnique) {
 
 TEST(Hyperband, PoolModeDrawsFromPool) {
   Rng rng(7);
-  CandidatePool pool;
-  for (int i = 0; i < 16; ++i) pool.configs.push_back(simple_space().sample(rng));
+  std::vector<Config> configs;
+  for (int i = 0; i < 16; ++i) configs.push_back(simple_space().sample(rng));
+  const CandidatePool pool{configs};
   Hyperband hb(simple_space(), {3, 1, 9}, Rng(8));
   hb.set_candidate_pool(pool);
   while (!hb.done()) {
@@ -278,8 +279,9 @@ TEST(Bohb, LateProposalsConcentrateNearOptimum) {
 
 TEST(Bohb, PoolModeIndicesValid) {
   Rng rng(11);
-  CandidatePool pool;
-  for (int i = 0; i < 20; ++i) pool.configs.push_back(simple_space().sample(rng));
+  std::vector<Config> configs;
+  for (int i = 0; i < 20; ++i) configs.push_back(simple_space().sample(rng));
+  const CandidatePool pool{configs};
   BohbOptions opts;
   opts.hyperband = {3, 1, 9};
   Bohb bohb(simple_space(), opts, Rng(12));

@@ -73,8 +73,9 @@ TEST(RandomSearch, BestTrialBeforeAnyTellIsEmpty) {
 
 TEST(RandomSearch, PoolModeSetsIndices) {
   Rng rng(4);
-  CandidatePool pool;
-  for (int i = 0; i < 7; ++i) pool.configs.push_back(simple_space().sample(rng));
+  std::vector<Config> configs;
+  for (int i = 0; i < 7; ++i) configs.push_back(simple_space().sample(rng));
+  const CandidatePool pool{configs};
   RandomSearch rs(simple_space(), 30, 1, Rng(5));
   rs.set_candidate_pool(pool);
   std::set<std::size_t> used;
@@ -163,6 +164,33 @@ TEST(TpeDensityModel, ProposalsConcentrateNearOptimum) {
   EXPECT_LT(mean_obj, 0.1);
 }
 
+TEST(TpeDensityModel, ScoresAndProposalPinnedBitwise) {
+  // Scoring prepares the good/bad groups, bandwidths and category
+  // frequencies once per proposal; the values must be the recorded ones of
+  // the per-candidate computation, bit for bit. Mixed continuous, log and
+  // choice dims.
+  SearchSpace space;
+  space.add_uniform("x", 0.0, 1.0)
+      .add_log_uniform("lr", 1e-4, 1.0)
+      .add_choice("b", {16.0, 32.0, 64.0});
+  TpeDensityModel model(space, TpeOptions{});
+  Rng rng(31);
+  for (int i = 0; i < 11; ++i) {
+    model.add_observation(space.sample(rng), 0.1 + 0.05 * ((i * 7) % 11));
+  }
+  const double recorded[] = {0x1.ae060e5299d12p-2, -0x1.390d1ce614534p+1,
+                             -0x1.4696871baea65p+1, 0x1.1854c0124cdd4p-2};
+  Rng points(32);
+  for (const double expected : recorded) {
+    EXPECT_EQ(model.acquisition(space.encode(space.sample(points))), expected);
+  }
+  Rng propose_rng(33);
+  const Config proposed = model.propose(propose_rng);
+  EXPECT_EQ(proposed.at("x"), 0x1.c8eabff6a7da5p-3);
+  EXPECT_EQ(proposed.at("lr"), 0x1.3a55d9fc268a7p-11);
+  EXPECT_EQ(proposed.at("b"), 64.0);
+}
+
 TEST(TpeDensityModel, PoolProposalReturnsValidIndex) {
   const SearchSpace space = simple_space();
   TpeDensityModel model(space, TpeOptions{});
@@ -214,8 +242,9 @@ TEST(Tpe, PlannedEvaluations) {
 TEST(Tpe, PoolModeProposalsComeFromPool) {
   const SearchSpace space = simple_space();
   Rng rng(16);
-  CandidatePool pool;
-  for (int i = 0; i < 12; ++i) pool.configs.push_back(space.sample(rng));
+  std::vector<Config> configs;
+  for (int i = 0; i < 12; ++i) configs.push_back(space.sample(rng));
+  const CandidatePool pool{configs};
   Tpe tpe(space, 10, 1, TpeOptions{}, Rng(17));
   tpe.set_candidate_pool(pool);
   while (auto t = tpe.ask()) {
