@@ -1,5 +1,7 @@
 #include "nn/text_models.hpp"
 
+#include <algorithm>
+
 #include "tensor/ops.hpp"
 
 namespace fedtune::nn {
@@ -17,6 +19,17 @@ std::size_t count_contexts(std::size_t vocab, std::size_t context,
     n *= vocab;
   }
   return n;
+}
+
+// dst row p = src row rows[p].
+void copy_rows(const Matrix& src, std::span<const std::int32_t> rows,
+               Matrix& dst) {
+  const std::size_t cols = src.cols();
+  dst.ensure_shape(rows.size(), cols);
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    std::copy_n(src.data() + static_cast<std::size_t>(rows[p]) * cols, cols,
+                dst.data() + p * cols);
+  }
 }
 
 }  // namespace
@@ -43,32 +56,68 @@ std::unique_ptr<Model> TextMlp::clone_architecture() const {
   return std::make_unique<TextMlp>(vocab_, context_, embed_dim_, hidden_dim_);
 }
 
+void TextMlp::reset_rows() const {
+  // Rows of the previous call (or of one a check interrupted) are unseen
+  // again; resetting only those keeps the call O(positions), not O(table).
+  context_row_.resize(num_contexts_, -1);
+  for (const std::size_t code : seen_codes_) context_row_[code] = -1;
+  seen_codes_.clear();
+  for (auto& slot : slot_ids_) slot.clear();
+}
+
+std::size_t TextMlp::context_code(std::span<const std::int32_t> seq,
+                                  std::size_t t) const {
+  std::size_t code = 0;
+  for (std::size_t j = t - context_; j < t; ++j) {
+    code = code * vocab_ + static_cast<std::size_t>(seq[j]);
+  }
+  return code;
+}
+
+void TextMlp::check_context_tokens(std::span<const std::int32_t> seq) const {
+  // Every token but the last is some position's context.
+  for (std::size_t j = 0; j + 1 < seq.size(); ++j) {
+    FEDTUNE_CHECK(static_cast<std::size_t>(seq[j]) < vocab_);
+  }
+}
+
+std::int32_t TextMlp::context_row(std::span<const std::int32_t> seq,
+                                  std::size_t t) const {
+  const auto row = static_cast<std::int32_t>(slot_ids_[0].size());
+  if (num_contexts_ != 0) {
+    const std::size_t code = context_code(seq, t);
+    if (context_row_[code] >= 0) return context_row_[code];
+    context_row_[code] = row;
+    seen_codes_.push_back(code);
+  }
+  for (std::size_t j = 0; j < context_; ++j) {
+    slot_ids_[j].push_back(seq[t - context_ + j]);
+  }
+  return row;
+}
+
 std::size_t TextMlp::gather(const data::ClientData& client,
                             std::span<const std::size_t> idx) const {
   FEDTUNE_CHECK_MSG(client.seq_len > context_,
                     "sequences too short for context window");
-  const std::size_t preds_per_seq = client.seq_len - context_;
-  const std::size_t total = idx.size() * preds_per_seq;
-  for (auto& slot : slot_ids_) slot.resize(total);
-  labels_.resize(total);
-
-  std::size_t p = 0;
+  reset_rows();
+  position_rows_.clear();
+  labels_.clear();
   for (std::size_t s : idx) {
     FEDTUNE_CHECK(s < client.num_examples());
     const auto seq = client.sequence(s);
-    for (std::size_t t = context_; t < client.seq_len; ++t, ++p) {
-      for (std::size_t j = 0; j < context_; ++j) {
-        slot_ids_[j][p] = seq[t - context_ + j];
-      }
-      labels_[p] = seq[t];
+    check_context_tokens(seq);
+    for (std::size_t t = context_; t < client.seq_len; ++t) {
+      position_rows_.push_back(context_row(seq, t));
+      labels_.push_back(seq[t]);
     }
   }
-  return total;
+  return labels_.size();
 }
 
 void TextMlp::forward_cached() const {
-  const std::size_t total = slot_ids_[0].size();
-  embedded_.ensure_shape(total, context_ * embed_dim_);
+  const std::size_t rows = slot_ids_[0].size();
+  embedded_.ensure_shape(rows, context_ * embed_dim_);
   for (std::size_t j = 0; j < context_; ++j) {
     embed_.forward(slot_ids_[j], embedded_, j * embed_dim_);
   }
@@ -80,15 +129,28 @@ void TextMlp::forward_cached() const {
 double TextMlp::forward_backward(const data::ClientData& client,
                                  std::span<const std::size_t> idx) {
   FEDTUNE_CHECK(!idx.empty());
-  gather(client, idx);
+  const std::size_t positions = gather(client, idx);
   forward_cached();
-  const double loss = ops::softmax_cross_entropy(logits_, labels_, grad_logits_);
+  ops::softmax_rows(logits_, probs_);
 
-  out_layer_.backward(hidden_act_, grad_logits_, &grad_hidden_);
-  ops::tanh_backward(hidden_act_, grad_hidden_, grad_pre_);
-  hidden_layer_.backward(embedded_, grad_pre_, &grad_embed_);
+  // Rows out to positions. Loss and backward pass run per position in the
+  // order of a per-position forward pass, so every sum over positions (the
+  // weight gradients, the embedding rows) adds the same terms in the same
+  // order as if each position had its own forward row.
+  copy_rows(probs_, position_rows_, grad_logits_);
+  copy_rows(hidden_act_, position_rows_, position_act_);
+  copy_rows(embedded_, position_rows_, position_embedded_);
+  const double loss = ops::cross_entropy_from_probs(labels_, grad_logits_);
+
+  out_layer_.backward(position_act_, grad_logits_, &grad_hidden_);
+  ops::tanh_backward(position_act_, grad_hidden_, grad_pre_);
+  hidden_layer_.backward(position_embedded_, grad_pre_, &grad_embed_);
+  position_ids_.resize(positions);
   for (std::size_t j = 0; j < context_; ++j) {
-    embed_.backward(slot_ids_[j], grad_embed_, j * embed_dim_);
+    for (std::size_t p = 0; p < positions; ++p) {
+      position_ids_[p] = slot_ids_[j][position_rows_[p]];
+    }
+    embed_.backward(position_ids_, grad_embed_, j * embed_dim_);
   }
   return loss;
 }
@@ -96,22 +158,7 @@ double TextMlp::forward_backward(const data::ClientData& client,
 void TextMlp::count_by_context(std::span<const data::ClientData> clients,
                                std::span<const std::size_t> which,
                                std::span<Count> counts) const {
-  // Rows of the previous call (or of one a check interrupted) are unseen
-  // again; resetting only those keeps the call O(positions), not O(table).
-  context_row_.resize(num_contexts_, -1);
-  for (const std::size_t code : seen_codes_) context_row_[code] = -1;
-  seen_codes_.clear();
-  for (auto& slot : slot_ids_) slot.clear();
-
-  // Index of the `context` tokens before position t in [0, vocab^context).
-  const auto code_at = [this](std::span<const std::int32_t> seq,
-                              std::size_t t) {
-    std::size_t code = 0;
-    for (std::size_t j = t - context_; j < t; ++j) {
-      code = code * vocab_ + static_cast<std::size_t>(seq[j]);
-    }
-    return code;
-  };
+  reset_rows();
 
   // Pass 1: one forward row per distinct context.
   for (const std::size_t k : which) {
@@ -121,18 +168,9 @@ void TextMlp::count_by_context(std::span<const data::ClientData> clients,
                       "sequences too short for context window");
     for (std::size_t s = 0; s < client.num_examples(); ++s) {
       const auto seq = client.sequence(s);
-      // Every token but the last is some position's context.
-      for (std::size_t j = 0; j + 1 < client.seq_len; ++j) {
-        FEDTUNE_CHECK(static_cast<std::size_t>(seq[j]) < vocab_);
-      }
+      check_context_tokens(seq);
       for (std::size_t t = context_; t < client.seq_len; ++t) {
-        const std::size_t code = code_at(seq, t);
-        if (context_row_[code] >= 0) continue;
-        context_row_[code] = static_cast<std::int32_t>(seen_codes_.size());
-        seen_codes_.push_back(code);
-        for (std::size_t j = 0; j < context_; ++j) {
-          slot_ids_[j].push_back(seq[t - context_ + j]);
-        }
+        context_row(seq, t);
       }
     }
   }
@@ -146,6 +184,8 @@ void TextMlp::count_by_context(std::span<const data::ClientData> clients,
   }
 
   // Pass 2: each position's prediction against its label, per client.
+  // Pass 1 checked and saw every context, so this only looks rows up
+  // (storing each position's row would cost 4 bytes per evaluated token).
   for (std::size_t i = 0; i < which.size(); ++i) {
     const data::ClientData& client = clients[which[i]];
     counts[i] = {0, 0};
@@ -153,7 +193,7 @@ void TextMlp::count_by_context(std::span<const data::ClientData> clients,
       const auto seq = client.sequence(s);
       for (std::size_t t = context_; t < client.seq_len; ++t) {
         counts[i].first +=
-            predictions_[context_row_[code_at(seq, t)]] != seq[t];
+            predictions_[context_row_[context_code(seq, t)]] != seq[t];
       }
       counts[i].second += client.seq_len - context_;
     }

@@ -4,12 +4,19 @@
 // concatenates, and applies a tanh MLP. This is the fast default used for
 // config pools (DESIGN.md), with training dynamics that respond to the same
 // HPs the paper tunes. Its prediction at a position depends only on the
-// `context` tokens before it, so evaluation runs the forward pass once per
-// distinct context and counts each position's error by a table lookup.
-// Every forward kernel is row-wise (GEMM rows are independent for K <= the
-// k-tile, see tensor/ops.hpp), so the result is bitwise the per-position
-// one. When vocab^context exceeds kMaxContexts, evaluation runs one forward
-// row per position instead.
+// `context` tokens before it, so training and evaluation run the forward
+// pass (embedding gather, hidden GEMM, tanh, output GEMM, and in training
+// the softmax) once per distinct context. Evaluation then counts each
+// position's error by a table lookup; training copies the rows out to
+// positions and runs the loss and the whole backward pass per position, in
+// the per-position order, so no gradient sum is regrouped. Every forward
+// kernel is row-wise (GEMM rows are independent for K <= the k-tile, see
+// tensor/ops.hpp), so the result is bitwise the per-position one. When
+// vocab^context exceeds kMaxContexts, every position gets its own forward
+// row (the row map is the identity) and evaluation goes per client.
+//
+// The tanh is ops::tanh_forward, a port of glibc's tanhf compiled without
+// FP contraction, so model outputs do not depend on the host's libm.
 //
 // LstmLm: Embedding -> single-layer LSTM (BPTT) -> Linear over the vocab,
 // matching the paper's 2-layer-LSTM architecture family at laptop scale.
@@ -51,8 +58,24 @@ class TextMlp final : public Model {
  private:
   using Count = std::pair<std::size_t, std::size_t>;
 
-  // Builds (ids per slot, labels) for all predictable positions of the given
-  // sequences. Returns #positions.
+  // Forgets the forward rows of the previous call.
+  void reset_rows() const;
+  // Checks that every token of seq that is some position's context is
+  // < vocab; context_code and context_row rely on it.
+  void check_context_tokens(std::span<const std::int32_t> seq) const;
+  // Index of the `context` tokens before position t of seq in
+  // [0, vocab^context).
+  std::size_t context_code(std::span<const std::int32_t> seq,
+                           std::size_t t) const;
+  // Forward row of the `context` tokens before position t of seq. A context
+  // not seen since reset_rows() gets a new row, its tokens appended to
+  // slot_ids_; with num_contexts_ == 0 every call does. The one indexing
+  // step training and evaluation share.
+  std::int32_t context_row(std::span<const std::int32_t> seq,
+                           std::size_t t) const;
+  // Forward rows (slot_ids_), each position's row (position_rows_) and
+  // labels for all predictable positions of the given sequences. Returns
+  // #positions.
   std::size_t gather(const data::ClientData& client,
                      std::span<const std::size_t> idx) const;
   // embed→hidden→logits over the rows of slot_ids_.
@@ -62,7 +85,8 @@ class TextMlp final : public Model {
   void count_by_context(std::span<const data::ClientData> clients,
                         std::span<const std::size_t> which,
                         std::span<Count> counts) const;
-  // One forward row per position; used when num_contexts_ == 0.
+  // One forward row per position (gather maps each position to its own
+  // row); used when num_contexts_ == 0.
   Count errors_per_position(const data::ClientData& client) const;
 
   std::size_t vocab_;
@@ -75,16 +99,20 @@ class TextMlp final : public Model {
   Linear hidden_layer_;
   Linear out_layer_;
 
-  // Scratch.
-  mutable std::vector<std::vector<std::int32_t>> slot_ids_;  // [context][P]
-  mutable std::vector<std::int32_t> labels_;
-  // Distinct-context evaluation: forward row of each context code (-1 =
-  // unseen), the codes seen, and each row's predicted token.
+  // Scratch. R = forward rows (distinct contexts), P = positions.
+  mutable std::vector<std::vector<std::int32_t>> slot_ids_;  // [context][R]
+  mutable std::vector<std::int32_t> position_rows_;          // [P] -> row
+  mutable std::vector<std::int32_t> labels_;                 // [P]
+  mutable std::vector<std::int32_t> position_ids_;           // [P], one slot
+  // Forward row of each context code (-1 = unseen), the codes seen, and in
+  // evaluation each row's predicted token.
   mutable std::vector<std::int32_t> context_row_;
   mutable std::vector<std::size_t> seen_codes_;
   mutable std::vector<std::int32_t> predictions_;
-  mutable Matrix embedded_;   // (P, context*E)
-  mutable Matrix hidden_pre_, hidden_act_, logits_;
+  mutable Matrix embedded_;   // (R, context*E)
+  mutable Matrix hidden_pre_, hidden_act_, logits_, probs_;  // (R, .)
+  // Per-position copies the backward pass reads.
+  mutable Matrix position_embedded_, position_act_;          // (P, .)
   mutable Matrix grad_logits_, grad_hidden_, grad_pre_, grad_embed_;
 };
 

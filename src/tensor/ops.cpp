@@ -468,10 +468,7 @@ void relu_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
   for (std::size_t i = 0; i < n; ++i) gi[i] = yp[i] > 0.0f ? go[i] : 0.0f;
 }
 
-void tanh_forward(const Matrix& x, Matrix& y) {
-  y.ensure_shape(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.size(); ++i) y.flat()[i] = std::tanh(x.flat()[i]);
-}
+// tanh_forward lives in tanh_exact.cpp (compiled without FP contraction).
 
 void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
   FEDTUNE_CHECK(y.same_shape(grad_out));
@@ -524,16 +521,21 @@ void softmax_rows(const Matrix& logits, Matrix& probs) {
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::int32_t> labels,
                              Matrix& grad_logits) {
-  FEDTUNE_CHECK(logits.rows() == labels.size());
   softmax_rows(logits, grad_logits);  // grad starts as probs
-  const std::size_t batch = logits.rows();
-  const std::size_t n = logits.cols();
+  return cross_entropy_from_probs(labels, grad_logits);
+}
+
+double cross_entropy_from_probs(std::span<const std::int32_t> labels,
+                                Matrix& probs) {
+  FEDTUNE_CHECK(probs.rows() == labels.size());
+  const std::size_t batch = probs.rows();
+  const std::size_t n = probs.cols();
   const float inv_batch = 1.0f / static_cast<float>(batch);
   double loss = 0.0;
   for (std::size_t r = 0; r < batch; ++r) {
     const auto label = static_cast<std::size_t>(labels[r]);
     FEDTUNE_CHECK(label < n);
-    float* __restrict grow = grad_logits.data() + r * n;
+    float* __restrict grow = probs.data() + r * n;
     loss -= std::log(std::max(grow[label], 1e-12f));
     grow[label] -= 1.0f;
 #pragma omp simd

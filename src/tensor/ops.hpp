@@ -29,14 +29,14 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& out);
 // Row independence: with accumulate=false and k <= 256 (one k-tile, kKc in
 // ops.cpp), row r of gemm_raw's output is bitwise a function of row r of a
 // alone, for any m: the 6-row and 4-row micro-kernels and the edge-row path
-// all sum k in order from zero. Evaluation relies on it (nn::TextMlp
-// evaluates each distinct context once, not each position). Above one
-// k-tile, edge rows accumulate straight into c while the micro-kernel sums
-// per tile, so rows can differ; no shipped layer has k > 32. gemm_nt_raw
-// only keeps row r independent of the other rows of a for a fixed m: at
-// m >= 12 its micro-kernel sums k in order while the dot-product path
-// (fewer rows, the last m % 6 < 4 rows, the n % 16 tail) uses a SIMD
-// reduction.
+// all sum k in order from zero. nn::TextMlp relies on it: training and
+// evaluation run the forward pass once per distinct context, not once per
+// position. Above one k-tile, edge rows accumulate straight into c while
+// the micro-kernel sums per tile, so rows can differ; no shipped layer has
+// k > 32. gemm_nt_raw only keeps row r independent of the other rows of a
+// for a fixed m: at m >= 12 its micro-kernel sums k in order while the
+// dot-product path (fewer rows, the last m % 6 < 4 rows, the n % 16 tail)
+// uses a SIMD reduction.
 // c[m,n] (+)= a[m,k] @ b[k,n]
 void gemm_raw(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, bool accumulate);
@@ -77,19 +77,31 @@ float l2_norm(std::span<const float> x);
 // sigmoid the derivative is expressible in y).
 void relu(const Matrix& x, Matrix& y);
 void relu_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
+// tanh_forward is a vectorized port of glibc's fdlibm tanhf (tanh_exact.cpp,
+// compiled without FP contraction): bitwise std::tanh on glibc hosts whose
+// libm uses that code, and the same bits on every host, so model outputs do
+// not depend on the host's libm.
 void tanh_forward(const Matrix& x, Matrix& y);
 void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 void sigmoid(const Matrix& x, Matrix& y);
 void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 
-// Row-wise softmax (numerically stabilized).
+// Row-wise softmax (numerically stabilized); each output row depends only
+// on its own logits row.
 void softmax_rows(const Matrix& logits, Matrix& probs);
 
 // Mean cross-entropy loss over the batch given integer labels; also emits
-// dL/dlogits (= (probs - onehot)/batch). Returns the loss.
+// dL/dlogits (= (probs - onehot)/batch). Returns the loss. It is
+// softmax_rows followed by cross_entropy_from_probs.
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::int32_t> labels,
                              Matrix& grad_logits);
+// The label half of softmax_cross_entropy: given row-wise softmax `probs`,
+// returns the mean loss and turns probs into dL/dlogits in place. Callers
+// that compute the softmax themselves (nn::TextMlp, once per distinct
+// context) share this loop, so the loss arithmetic has a single copy.
+double cross_entropy_from_probs(std::span<const std::int32_t> labels,
+                                Matrix& probs);
 
 // Number of rows whose argmax != label.
 std::size_t count_errors(const Matrix& logits,

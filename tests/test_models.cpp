@@ -1,7 +1,9 @@
 // Model-level tests: gradient checks of every backward pass, overfitting
-// sanity, clone independence, and exactness of batched text evaluation.
+// sanity, clone independence, and exactness of batched text evaluation and
+// of distinct-context text training.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "core/config_pool.hpp"
@@ -337,6 +339,154 @@ TEST(TextMlp, PoolBuildMatchesPerPositionEvaluation) {
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
           << "config " << c << " checkpoint " << ck;
     }
+  }
+}
+
+// Reference TextMlp training step: one forward row per position, rebuilt
+// from the layers over a copy of the model's parameters. Returns the loss;
+// `grads` receives the gradient of this step alone.
+double per_position_step(const Model& model, const TextDims& d,
+                         const data::ClientData& client,
+                         std::span<const std::size_t> idx,
+                         std::vector<float>& grads) {
+  ParamStore store;
+  Embedding embed(store, d.vocab, d.embed);
+  Linear hidden(store, d.context * d.embed, d.hidden);
+  Linear out(store, d.hidden, d.vocab);
+  EXPECT_EQ(store.size(), model.num_params());
+  std::copy(model.params().begin(), model.params().end(),
+            store.values().begin());
+  const std::size_t rows = idx.size() * (client.seq_len - d.context);
+  std::vector<std::vector<std::int32_t>> ids(
+      d.context, std::vector<std::int32_t>(rows));
+  std::vector<std::int32_t> labels(rows);
+  std::size_t p = 0;
+  for (const std::size_t s : idx) {
+    const auto seq = client.sequence(s);
+    for (std::size_t t = d.context; t < client.seq_len; ++t, ++p) {
+      for (std::size_t j = 0; j < d.context; ++j) {
+        ids[j][p] = seq[t - d.context + j];
+      }
+      labels[p] = seq[t];
+    }
+  }
+  Matrix x(rows, d.context * d.embed), pre, act, logits;
+  Matrix grad_logits, grad_act, grad_pre, grad_x;
+  for (std::size_t j = 0; j < d.context; ++j) {
+    embed.forward(ids[j], x, j * d.embed);
+  }
+  hidden.forward(x, pre);
+  ops::tanh_forward(pre, act);
+  out.forward(act, logits);
+  const double loss = ops::softmax_cross_entropy(logits, labels, grad_logits);
+  out.backward(act, grad_logits, &grad_act);
+  ops::tanh_backward(act, grad_act, grad_pre);
+  hidden.backward(x, grad_pre, &grad_x);
+  for (std::size_t j = 0; j < d.context; ++j) {
+    embed.backward(ids[j], grad_x, j * d.embed);
+  }
+  grads.assign(store.grads().begin(), store.grads().end());
+  return loss;
+}
+
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](float x, float y) {
+                      return std::bit_cast<std::uint32_t>(x) ==
+                             std::bit_cast<std::uint32_t>(y);
+                    });
+}
+
+// One training step of `model` against the per-position reference: loss
+// and every gradient entry bitwise equal.
+void expect_step_matches_reference(TextMlp& model, const TextDims& d,
+                                   const data::ClientData& client,
+                                   std::span<const std::size_t> idx) {
+  model.zero_grad();
+  const double loss = model.forward_backward(client, idx);
+  std::vector<float> ref_grads;
+  const double ref_loss = per_position_step(model, d, client, idx, ref_grads);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loss),
+            std::bit_cast<std::uint64_t>(ref_loss))
+      << "vocab=" << d.vocab << " context=" << d.context;
+  EXPECT_TRUE(bitwise_equal(model.grads(), ref_grads))
+      << "vocab=" << d.vocab << " context=" << d.context;
+}
+
+TEST(TextMlp, TrainingMatchesPerPositionReference) {
+  Rng rng(13);
+  // vocab^context: 9 (nearly every context repeats), 6, 36, 1728, the
+  // shipped text model's 32^2 with its embed and hidden sizes, and
+  // 90000 > kMaxContexts (identity row map).
+  const std::vector<TextDims> dims = {{3, 2, 4, 5},   {6, 1, 4, 5},
+                                      {6, 2, 4, 5},   {12, 3, 3, 7},
+                                      {32, 2, 8, 24}, {300, 2, 3, 5}};
+  ASSERT_GT(300u * 300u, TextMlp::kMaxContexts);
+  for (const TextDims& d : dims) {
+    TextMlp model = make_text_mlp(d);
+    randomize(model, rng);
+    const data::ClientData client =
+        small_token_client(rng, 40, d.context + 9, d.vocab);
+    // One sequence; a shuffled minibatch with a repeat; every sequence.
+    const std::vector<std::vector<std::size_t>> batches = {
+        {0}, {5, 3, 5, 0, 39}, iota_idx(40)};
+    for (const auto& idx : batches) {
+      expect_step_matches_reference(model, d, client, idx);
+    }
+  }
+}
+
+TEST(TextMlp, TrainingKeepsInputChecks) {
+  Rng rng(14);
+  for (const TextDims& d : {TextDims{6, 2, 4, 5}, TextDims{300, 2, 3, 5}}) {
+    TextMlp model = make_text_mlp(d);
+    randomize(model, rng);
+    const auto vocab = static_cast<std::int32_t>(d.vocab);
+    const data::ClientData good = small_token_client(rng, 20, 5, d.vocab);
+    // Sequence 5 holds tokens 25..29: 25..28 are contexts, 29 only a label.
+    data::ClientData bad_context = good;
+    bad_context.tokens[27] = vocab;
+    data::ClientData negative_context = good;
+    negative_context.tokens[25] = -1;
+    data::ClientData bad_label = good;
+    bad_label.tokens[29] = vocab;
+    const data::ClientData too_short = small_token_client(rng, 3, 2, d.vocab);
+
+    const std::vector<std::size_t> idx = {4, 5, 6};
+    for (const data::ClientData* bad :
+         {&bad_context, &negative_context, &bad_label}) {
+      EXPECT_THROW(model.forward_backward(*bad, idx), std::invalid_argument);
+    }
+    const std::vector<std::size_t> first = {0};
+    EXPECT_THROW(model.forward_backward(too_short, first),
+                 std::invalid_argument);
+    const std::vector<std::size_t> past_end = {20};
+    EXPECT_THROW(model.forward_backward(good, past_end),
+                 std::invalid_argument);
+    // An interrupted step leaves no stale context rows behind.
+    expect_step_matches_reference(model, d, good, idx);
+  }
+}
+
+TEST(TextMlp, TrainingAndEvaluationLeaveNoStaleRows) {
+  Rng rng(15);
+  const TextDims d{6, 2, 4, 5};
+  TextMlp model = make_text_mlp(d);
+  randomize(model, rng);
+  const std::vector<data::ClientData> clients = {
+      small_token_client(rng, 30, 6, d.vocab),
+      small_token_client(rng, 12, 6, d.vocab)};
+  const data::ClientData train = small_token_client(rng, 12, 6, d.vocab);
+  const std::vector<std::size_t> which = {0, 1};
+  const std::vector<std::size_t> idx = {2, 7, 7, 11};
+  std::vector<double> before(2), after(2);
+  model.error_rates(clients, which, before);
+  expect_step_matches_reference(model, d, train, idx);
+  model.error_rates(clients, which, after);
+  for (std::size_t i = 0; i < which.size(); ++i) {
+    const double ref = rate(per_position_errors(model, d, clients[i]));
+    EXPECT_EQ(before[i], ref) << i;
+    EXPECT_EQ(after[i], ref) << i;
   }
 }
 

@@ -288,7 +288,9 @@ TEST(Bohb, PoolModeIndicesValid) {
   bohb.set_candidate_pool(pool);
   while (!bohb.done()) {
     const auto t = bohb.ask();
-    if (t->parent_id < 0) ASSERT_LT(t->config_index, 20u);
+    if (t->parent_id < 0) {
+      ASSERT_LT(t->config_index, 20u);
+    }
     bohb.tell(*t, fidelity_objective(t->config, t->target_rounds, 9));
   }
 }
