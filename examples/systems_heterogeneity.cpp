@@ -3,9 +3,8 @@
 // Builds a small federated population on a two-tier hardware fleet, then
 // shows (1) what the latency model assigns, (2) how the three participation
 // policies trade staleness and dropped work for wall-clock on the SAME
-// fleet, and (3) the async evaluation pipeline streaming checkpoint errors
-// while training keeps going — identical values to the synchronous
-// evaluator, without the barrier.
+// fleet, and (3) per-client evaluation errors of the checkpoints one
+// training run passes through, each aggregated into a full error.
 //
 //   build/example_systems_heterogeneity
 #include <iostream>
@@ -17,7 +16,6 @@
 #include "fl/evaluator.hpp"
 #include "fl/trainer.hpp"
 #include "nn/factory.hpp"
-#include "runtime/async_eval.hpp"
 #include "runtime/latency_model.hpp"
 #include "runtime/round_scheduler.hpp"
 
@@ -94,36 +92,22 @@ int main() {
   std::cout << "-> same fleet, same seeds: the policy alone decides how much "
                "wall-clock a round costs and how stale its gradients are.\n\n";
 
-  // Async evaluation: stream checkpoint errors while training continues.
+  // Checkpoint evaluation: every third round, score the current model on
+  // every eval client and aggregate by example count.
   fl::FedTrainer trainer(ds, *arch, hps, {}, Rng(31));
-  runtime::AsyncEvalOptions eval_opts;
-  eval_opts.stream_path = "syssim_eval_stream.txt";
-  runtime::AsyncEvalPipeline pipeline(*arch, ds.eval_clients, eval_opts);
-  for (std::size_t round = 1; round <= 9; ++round) {
-    trainer.run_round();
-    if (round % 3 == 0) {
-      // Snapshot goes to the pipeline; the next round trains immediately.
-      pipeline.submit(round, round, trainer.global_params());
-    }
-  }
   std::vector<std::size_t> all_eval(ds.eval_clients.size());
   std::iota(all_eval.begin(), all_eval.end(), std::size_t{0});
-  Table evals({"checkpoint_rounds", "streamed_full_error"});
-  for (const auto& r : pipeline.results()) {
-    evals.add_row({std::to_string(r.rounds),
+  Table evals({"checkpoint_rounds", "full_error"});
+  for (std::size_t round = 1; round <= 9; ++round) {
+    trainer.run_round();
+    if (round % 3 != 0) continue;
+    const std::vector<double> errors =
+        fl::all_client_errors(trainer.model(), ds.eval_clients);
+    evals.add_row({std::to_string(round),
                    Table::format(100.0 * fl::aggregate_error(
-                                             r.errors, ds.eval_clients,
-                                             all_eval,
+                                             errors, ds.eval_clients, all_eval,
                                              fl::Weighting::kByExampleCount))});
   }
   evals.print(std::cout);
-  // The last streamed checkpoint IS the current model — the barrier-free
-  // path produced exactly the synchronous answer.
-  std::cout << "streamed " << pipeline.completed()
-            << " checkpoints to syssim_eval_stream.txt while training ran; "
-               "synchronous full error of the final model: "
-            << Table::format(100.0 * fl::full_validation_error(trainer.model(),
-                                                               ds))
-            << "%\n";
   return 0;
 }

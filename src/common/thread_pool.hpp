@@ -68,10 +68,9 @@ class ThreadPool {
 
   // Enqueues a standalone task (not part of a parallel loop) on a worker
   // thread; the returned future reports completion or rethrows the task's
-  // exception. Used by runtime::AsyncEvalPipeline to overlap checkpoint
-  // evaluation with the caller's own compute. A submitted task that issues
-  // a parallel_for participates in its own batch, so it completes even when
-  // every other worker is busy.
+  // exception. Used by StudyManager to run tenants' round slices
+  // concurrently. A submitted task that issues a parallel_for participates
+  // in its own batch, so it completes even when every other worker is busy.
   std::future<void> submit(std::function<void()> fn);
 
   // True while the calling thread is executing inside any parallel_for of

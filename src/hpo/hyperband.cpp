@@ -68,9 +68,17 @@ void Hyperband::open_next_bracket() {
   FEDTUNE_CHECK(next_bracket_ < bracket_params_.size());
   current_ = std::make_unique<SuccessiveHalving>(
       bracket_params_[next_bracket_], provider_, rng_.split(next_bracket_),
-      &id_counter_);
+      next_trial_id_);
   current_->set_selector(selector_);
   ++next_bracket_;
+}
+
+void Hyperband::close_bracket() {
+  // done() implies the bracket named its winner.
+  bracket_winners_.emplace_back(current_->best_trial().value(),
+                                current_->best_objective());
+  next_trial_id_ = current_->next_trial_id();
+  current_.reset();
 }
 
 std::optional<Trial> Hyperband::ask() {
@@ -81,10 +89,7 @@ std::optional<Trial> Hyperband::ask() {
     }
     if (auto trial = current_->ask()) return trial;
     if (current_->done()) {
-      // done() implies the bracket named its winner.
-      bracket_winners_.emplace_back(current_->best_trial().value(),
-                                    current_->best_objective());
-      current_.reset();
+      close_bracket();
       continue;  // next bracket
     }
     // Waiting on tell() for the current rung.
@@ -95,11 +100,7 @@ std::optional<Trial> Hyperband::ask() {
 void Hyperband::tell(const Trial& trial, double objective) {
   FEDTUNE_CHECK_MSG(current_ != nullptr, "no active bracket");
   current_->tell(trial, objective);
-  if (current_->done()) {
-    bracket_winners_.emplace_back(current_->best_trial().value(),
-                                  current_->best_objective());
-    current_.reset();
-  }
+  if (current_->done()) close_bracket();
 }
 
 bool Hyperband::done() const {

@@ -41,6 +41,7 @@ class Hyperband : public Tuner {
  private:
   ConfigProvider default_provider();
   void open_next_bracket();
+  void close_bracket();  // records the finished bracket's winner
 
   SearchSpace space_;
   HyperbandOptions opts_;
@@ -48,7 +49,7 @@ class Hyperband : public Tuner {
   std::vector<ShaBracketParams> bracket_params_;
   std::optional<CandidatePool> pool_;
   ConfigProvider provider_;
-  int id_counter_ = 0;
+  int next_trial_id_ = 0;  // first id of the next bracket
 
   std::unique_ptr<SuccessiveHalving> current_;
   std::size_t next_bracket_ = 0;

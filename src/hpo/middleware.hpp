@@ -5,7 +5,7 @@
 // decorator around an inner Tuner instead: TunerMiddleware owns the inner
 // tuner and forwards the whole Tuner surface by default, and each concrete
 // wrapper overrides only the calls it mediates. Stacks nest arbitrarily,
-// e.g. CachingTuner(LimitTuner(StandaloneSha)).
+// e.g. CachingTuner(LimitTuner(SuccessiveHalving)).
 //
 // Forwarding contract (the wrapper-forwarding hazards this header exists to
 // fix): set_selector() must reach the INNERMOST tuner — a selector stored

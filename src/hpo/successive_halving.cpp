@@ -47,17 +47,16 @@ ShaSchedule sha_schedule(const ShaBracketParams& params) {
 
 SuccessiveHalving::SuccessiveHalving(ShaBracketParams params,
                                      ConfigProvider provider, Rng rng,
-                                     int* id_counter)
+                                     int first_trial_id)
     : params_(params), provider_(std::move(provider)), rng_(rng),
-      id_counter_(id_counter), schedule_(sha_schedule(params)) {
-  FEDTUNE_CHECK(id_counter_ != nullptr);
+      next_trial_id_(first_trial_id), schedule_(sha_schedule(params)) {
   FEDTUNE_CHECK(provider_ != nullptr);
   // Seed rung 0.
   rung_.reserve(params_.n0);
   for (std::size_t i = 0; i < params_.n0; ++i) {
     ConfigProposal proposal = provider_(rng_);
     Entry e;
-    e.trial.id = (*id_counter_)++;
+    e.trial.id = next_trial_id_++;
     e.trial.config = std::move(proposal.config);
     e.trial.config_index = proposal.config_index;
     e.trial.target_rounds = params_.r0;
@@ -112,7 +111,7 @@ void SuccessiveHalving::advance_rung() {
     next.reserve(top.size());
     for (std::size_t i : top) {
       Entry e;
-      e.trial.id = (*id_counter_)++;
+      e.trial.id = next_trial_id_++;
       e.trial.config = rung_[i].trial.config;
       e.trial.config_index = rung_[i].trial.config_index;
       e.trial.parent_id = rung_[i].trial.id;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "hpo/tuner.hpp"
@@ -53,10 +52,11 @@ ShaSchedule sha_schedule(const ShaBracketParams& params);
 
 class SuccessiveHalving final : public Tuner {
  public:
-  // `id_counter` supplies globally unique trial ids (shared across brackets
-  // by Hyperband); must outlive the tuner.
+  // Trials are numbered first_trial_id, first_trial_id + 1, ... in issue
+  // order; Hyperband starts each bracket at the previous one's
+  // next_trial_id() so ids stay unique across brackets.
   SuccessiveHalving(ShaBracketParams params, ConfigProvider provider,
-                    Rng rng, int* id_counter);
+                    Rng rng, int first_trial_id = 0);
 
   std::optional<Trial> ask() override;
   void tell(const Trial& trial, double objective) override;
@@ -67,6 +67,8 @@ class SuccessiveHalving final : public Tuner {
 
   // Winner's objective at the final rung (valid when done()).
   double best_objective() const;
+  // The id the next created trial will get.
+  int next_trial_id() const { return next_trial_id_; }
 
  private:
   struct Entry {
@@ -80,7 +82,7 @@ class SuccessiveHalving final : public Tuner {
   ShaBracketParams params_;
   ConfigProvider provider_;
   Rng rng_;
-  int* id_counter_;
+  int next_trial_id_;
   ShaSchedule schedule_;
 
   std::vector<Entry> rung_;        // entries at the current rung
@@ -89,39 +91,6 @@ class SuccessiveHalving final : public Tuner {
   bool finished_ = false;
   std::optional<Trial> winner_;
   double winner_objective_ = 1.0;
-};
-
-// A self-contained single bracket: owns the trial-id counter that Hyperband
-// normally shares across brackets, so one SHA bracket can be used as a
-// standalone Tuner (the StudyService's fifth method; service/study.hpp).
-class StandaloneSha final : public Tuner {
- public:
-  StandaloneSha(ShaBracketParams params, ConfigProvider provider, Rng rng)
-      : sha_(std::make_unique<SuccessiveHalving>(params, std::move(provider),
-                                                 rng, &id_counter_)) {}
-
-  std::optional<Trial> ask() override { return sha_->ask(); }
-  void tell(const Trial& trial, double objective) override {
-    sha_->tell(trial, objective);
-  }
-  bool done() const override { return sha_->done(); }
-  std::optional<Trial> best_trial() const override {
-    return sha_->best_trial();
-  }
-  std::size_t planned_evaluations() const override {
-    return sha_->planned_evaluations();
-  }
-  std::size_t planned_selection_events() const override {
-    return sha_->planned_selection_events();
-  }
-  void set_selector(TopKSelector selector) override {
-    Tuner::set_selector(selector);
-    sha_->set_selector(std::move(selector));
-  }
-
- private:
-  int id_counter_ = 0;
-  std::unique_ptr<SuccessiveHalving> sha_;
 };
 
 }  // namespace fedtune::hpo

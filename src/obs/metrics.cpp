@@ -110,17 +110,6 @@ double HistogramSnapshot::quantile(double q) const {
   return Histogram::bucket_lower(kHistogramBuckets - 1);
 }
 
-HistogramSnapshot HistogramSnapshot::operator-(
-    const HistogramSnapshot& earlier) const {
-  HistogramSnapshot delta;
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    delta.buckets[i] = buckets[i] - earlier.buckets[i];
-    delta.count += delta.buckets[i];
-  }
-  delta.sum = sum - earlier.sum;
-  return delta;
-}
-
 std::string render_labels(LabelSet labels) {
   if (labels.empty()) return "";
   std::sort(labels.begin(), labels.end());

@@ -100,9 +100,7 @@ inline constexpr std::size_t kHistogramBuckets = 180;  // 45 octaves
 // underflow bucket (v < kHistogramMin, including 0 and negatives).
 inline constexpr double kHistogramMin = 1e-9;
 
-// A merged, immutable view of a histogram at one instant. Supports
-// subtraction so callers (bench_micro_substrate) can report quantiles over
-// a bounded window of a long-lived histogram.
+// A merged, immutable view of a histogram at one instant.
 struct HistogramSnapshot {
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
   std::uint64_t count = 0;
@@ -114,9 +112,6 @@ struct HistogramSnapshot {
   // values inside [kHistogramMin, max). 0 when empty.
   double quantile(double q) const;
   double mean() const { return count == 0 ? 0.0 : sum / double(count); }
-
-  // Window delta: *this must be a later scrape of the same histogram.
-  HistogramSnapshot operator-(const HistogramSnapshot& earlier) const;
 };
 
 // Sharded log-bucketed histogram. observe() is one relaxed add on this

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/rng_salts.hpp"
-#include "runtime/async_eval.hpp"
 #include "sampling/client_sampler.hpp"
 
 namespace fedtune::runtime {
@@ -37,20 +36,6 @@ RoundScheduler::RoundScheduler(fl::FedTrainer& trainer,
 
 std::size_t RoundScheduler::num_train_clients() const {
   return trainer_->dataset().train_clients.size();
-}
-
-void RoundScheduler::attach_eval(AsyncEvalPipeline* pipeline,
-                                 std::size_t eval_every) {
-  FEDTUNE_CHECK(eval_every > 0);
-  eval_pipeline_ = pipeline;
-  eval_every_ = eval_every;
-}
-
-void RoundScheduler::maybe_submit_eval() {
-  if (eval_pipeline_ == nullptr) return;
-  const std::size_t round = trainer_->rounds_done();
-  if (round % eval_every_ != 0) return;
-  eval_pipeline_->submit(round, round, trainer_->global_params());
 }
 
 void RoundScheduler::run_rounds(std::size_t n) {
@@ -182,7 +167,6 @@ void RoundScheduler::run_sync_round() {
   // The event queue is drained; rewind the clock to the moment the server
   // actually moved on (stragglers past the cutoff don't delay the round).
   clock_.reset(round_end);
-  maybe_submit_eval();
 }
 
 // --------------------------------------------------------------- async ----
@@ -311,7 +295,6 @@ void RoundScheduler::aggregate_async_buffer() {
 
   buffer_.clear();
   prune_anchors();
-  maybe_submit_eval();
 }
 
 void RoundScheduler::run_async_until_aggregation() {

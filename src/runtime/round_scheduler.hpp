@@ -43,8 +43,6 @@
 
 namespace fedtune::runtime {
 
-class AsyncEvalPipeline;
-
 enum class ParticipationPolicy {
   kSynchronous,
   kStragglerDrop,
@@ -124,11 +122,6 @@ class RoundScheduler {
   std::size_t rounds_done() const { return trainer_->rounds_done(); }
   const std::vector<RoundRecord>& history() const { return history_; }
 
-  // Snapshot evaluation overlapped with training: after every `eval_every`
-  // aggregations the current global parameters are submitted to `pipeline`
-  // (tag = aggregation index) while training proceeds. nullptr detaches.
-  void attach_eval(AsyncEvalPipeline* pipeline, std::size_t eval_every = 1);
-
   // Pause/resume at an aggregation boundary. restore() assumes the paired
   // trainer was restored to the checkpoint taken at the same moment, and
   // clears history() — records of an abandoned timeline don't belong to
@@ -152,7 +145,6 @@ class RoundScheduler {
   void aggregate_async_buffer();
   const std::vector<float>& anchor_params(std::size_t version);
   void prune_anchors();
-  void maybe_submit_eval();
   std::size_t num_train_clients() const;
 
   fl::FedTrainer* trainer_;
@@ -171,9 +163,6 @@ class RoundScheduler {
 
   // Scratch.
   std::vector<float> local_params_;
-
-  AsyncEvalPipeline* eval_pipeline_ = nullptr;
-  std::size_t eval_every_ = 1;
 };
 
 }  // namespace fedtune::runtime

@@ -38,8 +38,8 @@
 // (SIGKILL, OOM-kill, aborts), the contract the tests and CI enforce.
 // Machine-level crashes (power loss) can still lose page-cache tails unless
 // sync_on_commit is set, which fsyncs after every frame (orders of magnitude
-// slower; bench/bench_micro_substrate.cpp measures the gap). Either way,
-// recovery's tail-truncation handles whatever the filesystem preserved.
+// slower). Either way, recovery's tail-truncation handles whatever the
+// filesystem preserved.
 // On recovery, the first unreadable frame — short header, short payload,
 // CRC mismatch, malformed or over-long payload — ends the valid prefix;
 // the file is truncated there (torn tails heal) and everything before it

@@ -78,8 +78,8 @@ std::unique_ptr<hpo::Tuner> make_study_tuner(const StudySpec& spec,
         p.config = provider_space.sample(provider_rng);
         return p;
       };
-      return std::make_unique<hpo::StandaloneSha>(params, std::move(provider),
-                                                  rng);
+      return std::make_unique<hpo::SuccessiveHalving>(
+          params, std::move(provider), rng);
     }
     case StudyMethod::kHyperband:
       return std::make_unique<hpo::Hyperband>(

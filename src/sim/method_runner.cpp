@@ -84,7 +84,7 @@ std::unique_ptr<hpo::Tuner> make_pool_sha_tuner(
   params.eta = 3;
   params.r0 = view.checkpoints().front();
   params.max_rounds = view.checkpoints().back();
-  return std::make_unique<hpo::StandaloneSha>(
+  return std::make_unique<hpo::SuccessiveHalving>(
       params, hpo::uniform_pool_provider(configs), rng);
 }
 

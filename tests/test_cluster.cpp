@@ -128,7 +128,11 @@ TEST(PlacementTest, FollowerIsAlwaysADistinctMember) {
   for (int members = 2; members <= 5; ++members) {
     std::string text;
     for (int i = 0; i < members; ++i) {
-      text += "m" + std::to_string(i) + " h:" + std::to_string(9000 + i) + "\n";
+      text += "m";
+      text += std::to_string(i);
+      text += " h:";
+      text += std::to_string(9000 + i);
+      text += "\n";
     }
     const Placement p(Roster::parse(text, "t"));
     for (const std::string& s : study_names(200)) {

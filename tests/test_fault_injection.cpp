@@ -705,7 +705,7 @@ TEST_F(CrashMatrix, TpeSurvivesEveryWriteBoundary) {
 
 // ------------------------------------ cached-stack crash-point matrix
 
-// The wrapped stack CachingTuner(LimitTuner(StandaloneSha)) behind a
+// The wrapped stack CachingTuner(LimitTuner(SuccessiveHalving)) behind a
 // partially-warm SHARED evaluation cache: a producer study with the same
 // noise namespace seeds outcomes the victim's bracket overlaps, the fault
 // plan's empty path filter puts the .evalcache appends into the op matrix

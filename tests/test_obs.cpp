@@ -117,19 +117,6 @@ TEST(ObsHistogram, ShardMergeEqualsSingleThreaded) {
   EXPECT_NEAR(a.sum, b.sum, std::abs(a.sum) * 1e-9);
 }
 
-TEST(ObsHistogram, SnapshotDeltaIsolatesWindow) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.observe(1e-3);
-  const HistogramSnapshot before = h.snapshot();
-  for (int i = 0; i < 50; ++i) h.observe(1.0);
-  const HistogramSnapshot window = h.snapshot() - before;
-  EXPECT_EQ(window.count, 50u);
-  // Every windowed observation was 1.0: the quantile must land in its
-  // bucket, not the 1e-3 bucket.
-  EXPECT_GT(window.quantile(0.5), 0.5);
-  EXPECT_NEAR(window.sum, 50.0, 1e-9);
-}
-
 // ------------------------------------------------------ counters & gauges --
 
 TEST(ObsCounter, ConcurrentAddsSumExactly) {

@@ -4,27 +4,19 @@
 //       parameters across thread counts for all three participation
 //       policies,
 //   (b) deadline cutoff and dropout select exactly the clients the latency
-//       model predicts,
-//   (c) the async pipeline's streamed checkpoint errors equal the
-//       synchronous evaluator's output —
+//       model predicts —
 // plus checkpoint-resume determinism under the event clock: a trial paused
 // and resumed mid-round-schedule must match an uninterrupted run bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 
 #include "common/rng_salts.hpp"
 #include "core/noisy_evaluator.hpp"
 #include "core/trial_runner.hpp"
-#include "fl/evaluator.hpp"
 #include "fl/trainer.hpp"
 #include "nn/factory.hpp"
-#include "runtime/async_eval.hpp"
 #include "runtime/event_clock.hpp"
 #include "runtime/latency_model.hpp"
 #include "runtime/round_scheduler.hpp"
@@ -378,94 +370,6 @@ TEST(LiveTrialRunner, RuntimeModeResumesPromotionsDeterministically) {
   EXPECT_GT(chained.sim_seconds_total(), 0.0);
   EXPECT_EQ(chained.sim_seconds_total(), straight.sim_seconds_total());
   EXPECT_EQ(chained.trial_sim_seconds(1), straight.trial_sim_seconds(0));
-}
-
-// --------------------------- (c) async pipeline matches the sync evaluator
-
-TEST(AsyncEvalPipeline, StreamedErrorsEqualSynchronousEvaluator) {
-  const auto ds = testutil::small_image_dataset();
-  const auto arch = nn::make_default_model(ds);
-  fl::FedHyperParams hps;
-  hps.client_lr = 0.05;
-  fl::FedTrainer trainer(ds, *arch, hps, fl::TrainerConfig{}, Rng(42));
-
-  const std::string stream_path = "/tmp/fedtune_eval_stream_test.txt";
-  runtime::AsyncEvalOptions opts;
-  opts.stream_path = stream_path;
-  std::vector<std::vector<double>> sync_errors;
-  {
-    runtime::AsyncEvalPipeline pipeline(*arch, ds.eval_clients, opts);
-    for (std::size_t round = 1; round <= 6; ++round) {
-      trainer.run_round();
-      if (round % 2 == 0) {
-        pipeline.submit(round, round, trainer.global_params());
-        // Synchronous reference for the same snapshot.
-        sync_errors.push_back(
-            fl::all_client_errors(trainer.model(), ds.eval_clients));
-      }
-    }
-    const std::vector<runtime::AsyncEvalPipeline::Result> results =
-        pipeline.results();
-    ASSERT_EQ(results.size(), 3u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].rounds, 2 * (i + 1));
-      ASSERT_EQ(results[i].errors.size(), sync_errors[i].size());
-      for (std::size_t k = 0; k < sync_errors[i].size(); ++k) {
-        ASSERT_EQ(results[i].errors[k], sync_errors[i][k])
-            << "checkpoint " << i << " client " << k;
-      }
-    }
-  }
-
-  // The stream file round-trips the same values (%.17g), one line per
-  // checkpoint, in completion order.
-  std::ifstream in(stream_path);
-  ASSERT_TRUE(in.is_open());
-  std::map<std::size_t, std::vector<double>> streamed;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::size_t tag = 0, rounds = 0;
-    fields >> tag >> rounds;
-    std::vector<double> errs;
-    double e = 0.0;
-    while (fields >> e) errs.push_back(e);
-    streamed[rounds] = std::move(errs);
-  }
-  ASSERT_EQ(streamed.size(), 3u);
-  for (std::size_t i = 0; i < sync_errors.size(); ++i) {
-    const auto it = streamed.find(2 * (i + 1));
-    ASSERT_NE(it, streamed.end());
-    ASSERT_EQ(it->second.size(), sync_errors[i].size());
-    for (std::size_t k = 0; k < sync_errors[i].size(); ++k) {
-      ASSERT_EQ(it->second[k], sync_errors[i][k]);
-    }
-  }
-  std::filesystem::remove(stream_path);
-}
-
-TEST(AsyncEvalPipeline, OverlapsWithSchedulerTraining) {
-  const auto ds = testutil::small_image_dataset();
-  const auto arch = nn::make_default_model(ds);
-  fl::FedHyperParams hps;
-  hps.client_lr = 0.05;
-  fl::FedTrainer trainer(ds, *arch, hps, fl::TrainerConfig{}, Rng(42));
-  const runtime::LatencyModel latency(test_latency_config(), Rng(88));
-  runtime::RoundScheduler scheduler(
-      trainer, latency, policy_config(ParticipationPolicy::kSynchronous),
-      Rng(99));
-  runtime::AsyncEvalPipeline pipeline(*arch, ds.eval_clients);
-  scheduler.attach_eval(&pipeline, /*eval_every=*/2);
-  scheduler.run_rounds(6);
-  const auto results = pipeline.results();
-  ASSERT_EQ(results.size(), 3u);
-  // The final checkpoint matches an on-the-spot synchronous evaluation.
-  const std::vector<double> sync =
-      fl::all_client_errors(trainer.model(), ds.eval_clients);
-  ASSERT_EQ(results.back().errors.size(), sync.size());
-  for (std::size_t k = 0; k < sync.size(); ++k) {
-    ASSERT_EQ(results.back().errors[k], sync[k]);
-  }
 }
 
 // ------------------------------------------------- NoiseModel integration --

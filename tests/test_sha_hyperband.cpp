@@ -75,10 +75,8 @@ TEST(ShaSchedule, RejectsBadParams) {
 }
 
 TEST(SuccessiveHalving, PromotionFlowKeepsBestConfig) {
-  int id_counter = 0;
   Rng rng(1);
-  SuccessiveHalving sha({9, 3, 1, 9}, random_provider(simple_space()), rng,
-                        &id_counter);
+  SuccessiveHalving sha({9, 3, 1, 9}, random_provider(simple_space()), rng);
   std::map<int, Trial> by_id;
   while (!sha.done()) {
     const auto t = sha.ask();
@@ -107,31 +105,43 @@ TEST(SuccessiveHalving, PromotionFlowKeepsBestConfig) {
   EXPECT_NEAR(std::abs(winner.config.at("x") - 0.4), best_x_dist, 1e-12);
 }
 
+TEST(SuccessiveHalving, NumbersTrialsInIssueOrder) {
+  for (const int first : {0, 7}) {
+    Rng rng(13);
+    SuccessiveHalving sha({9, 3, 1, 9}, random_provider(simple_space()), rng,
+                          first);
+    int expected = first;
+    while (!sha.done()) {
+      const auto t = sha.ask();
+      ASSERT_TRUE(t.has_value());
+      EXPECT_EQ(t->id, expected++);
+      sha.tell(*t, fidelity_objective(t->config, t->target_rounds, 9));
+    }
+    EXPECT_EQ(static_cast<std::size_t>(expected - first),
+              sha.planned_evaluations());
+    EXPECT_EQ(sha.next_trial_id(), expected);
+  }
+}
+
 TEST(SuccessiveHalving, TellUnknownTrialThrows) {
-  int id_counter = 0;
   Rng rng(2);
-  SuccessiveHalving sha({3, 3, 1, 3}, random_provider(simple_space()), rng,
-                        &id_counter);
+  SuccessiveHalving sha({3, 3, 1, 3}, random_provider(simple_space()), rng);
   Trial bogus;
   bogus.id = 999;
   EXPECT_THROW(sha.tell(bogus, 0.5), std::invalid_argument);
 }
 
 TEST(SuccessiveHalving, DoubleTellThrows) {
-  int id_counter = 0;
   Rng rng(3);
-  SuccessiveHalving sha({3, 3, 1, 3}, random_provider(simple_space()), rng,
-                        &id_counter);
+  SuccessiveHalving sha({3, 3, 1, 3}, random_provider(simple_space()), rng);
   const auto t = sha.ask();
   sha.tell(*t, 0.5);
   EXPECT_THROW(sha.tell(*t, 0.5), std::invalid_argument);
 }
 
 TEST(SuccessiveHalving, SelectorReceivesAccuracies) {
-  int id_counter = 0;
   Rng rng(4);
-  SuccessiveHalving sha({9, 3, 1, 9}, random_provider(simple_space()), rng,
-                        &id_counter);
+  SuccessiveHalving sha({9, 3, 1, 9}, random_provider(simple_space()), rng);
   std::vector<std::size_t> selector_ks;
   sha.set_selector([&](std::span<const double> accuracies, std::size_t k) {
     selector_ks.push_back(k);
@@ -188,6 +198,18 @@ TEST(Hyperband, TrialIdsGloballyUnique) {
     EXPECT_TRUE(ids.insert(t->id).second) << "duplicate id " << t->id;
     hb.tell(*t, fidelity_objective(t->config, t->target_rounds, 9));
   }
+}
+
+TEST(Hyperband, TrialIdsContiguousAcrossBrackets) {
+  Hyperband hb(simple_space(), {3, 1, 27}, Rng(15));
+  int expected = 0;
+  while (!hb.done()) {
+    const auto t = hb.ask();
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->id, expected++);
+    hb.tell(*t, fidelity_objective(t->config, t->target_rounds, 27));
+  }
+  EXPECT_EQ(static_cast<std::size_t>(expected), hb.planned_evaluations());
 }
 
 TEST(Hyperband, PoolModeDrawsFromPool) {
