@@ -1,20 +1,11 @@
 #include "cluster/replicator.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "cluster/replica_store.hpp"
-#include "net/frame.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedtune::cluster {
@@ -25,18 +16,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 // "ok acked=N" / "ok offset=N" → N; nullopt on anything else (including a
@@ -101,8 +80,10 @@ void JournalReplicator::on_mutation(const std::string& study,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return;
-    Peer& peer = peers_[target->id];
-    peer.member = *target;
+    const auto [it, fresh] = peers_.try_emplace(target->id);
+    Peer& peer = it->second;
+    // Set once: the worker reads `member` while connecting, without mu_.
+    if (fresh) peer.member = *target;
     StudyQueue& q = peer.queues[study];
     if (m.kind == service::JournalMutation::Kind::kRewrite) {
       // The whole file changed (initial sync, compaction): everything queued
@@ -204,38 +185,16 @@ void JournalReplicator::worker() {
 }
 
 bool JournalReplicator::ensure_connected(Peer& peer) {
-  if (peer.fd >= 0) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  timeval tv{};
-  tv.tv_sec = static_cast<long>(opts_.io_timeout_s);
-  tv.tv_usec = static_cast<long>((opts_.io_timeout_s - tv.tv_sec) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(peer.member.port);
-  if (::inet_pton(AF_INET, peer.member.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
+  if (peer.client.connected()) return true;
+  if (!peer.client.connect_tcp(peer.member.host, peer.member.port,
+                               opts_.io_timeout_s)) {
     return false;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  peer.fd = fd;
-  peer.in.clear();
   peer.acked.clear();  // follower offsets must be re-probed per connection
   reconnects_total_->add(1);
+  peer.client.set_tenant(opts_.tenant);
   if (!opts_.token.empty()) {
-    net::Frame hello;
-    hello.opcode = net::Opcode::kHello;
-    hello.tenant = opts_.tenant;
-    hello.payload = opts_.token;
-    if (!send_all(peer.fd, net::encode_frame(hello))) {
-      disconnect(peer);
-      return false;
-    }
-    const auto ack = request(peer, "", "");  // read the hello response only
+    const auto ack = peer.client.hello(opts_.tenant, opts_.token);
     if (!ack.has_value() || ack->rfind("ok", 0) != 0) {
       disconnect(peer);
       return false;
@@ -245,43 +204,8 @@ bool JournalReplicator::ensure_connected(Peer& peer) {
 }
 
 void JournalReplicator::disconnect(Peer& peer) {
-  if (peer.fd >= 0) {
-    ::close(peer.fd);
-    peer.fd = -1;
-  }
-  peer.in.clear();
+  peer.client.close();
   peer.acked.clear();
-}
-
-std::optional<std::string> JournalReplicator::request(
-    Peer& peer, const std::string& verb, const std::string& args) {
-  if (peer.fd < 0) return std::nullopt;
-  if (!verb.empty()) {
-    const auto opcode = net::opcode_for_verb(verb);
-    if (!opcode.has_value()) return std::nullopt;
-    net::Frame req;
-    req.opcode = *opcode;
-    req.tenant = opts_.tenant;
-    req.payload = args;
-    if (!send_all(peer.fd, net::encode_frame(req))) return std::nullopt;
-  }
-  char buf[8192];
-  for (;;) {
-    const net::DecodeResult r = net::decode_frame(peer.in);
-    if (r.status == net::DecodeStatus::kBad) return std::nullopt;
-    if (r.status == net::DecodeStatus::kFrame) {
-      peer.in.erase(0, r.consumed);
-      if (r.frame.opcode == net::Opcode::kOk) return "ok " + r.frame.payload;
-      if (r.frame.opcode == net::Opcode::kErr) {
-        return "err " + r.frame.payload;
-      }
-      return std::nullopt;
-    }
-    const ssize_t n = ::recv(peer.fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;  // closed or SO_RCVTIMEO expired
-    peer.in.append(buf, static_cast<std::size_t>(n));
-  }
 }
 
 void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
@@ -321,10 +245,10 @@ bool JournalReplicator::drain_peer(Peer& peer,
     return false;
   };
 
-  if (peer.fd < 0) {
+  if (!peer.client.connected()) {
     // Connect without holding up producers. The peer map is node-stable and
-    // only this thread touches fd/in/acked, so unlocking around the blocking
-    // connect is safe.
+    // only this thread touches client/acked, so unlocking around the
+    // blocking connect is safe.
     lock.unlock();
     const bool ok = ensure_connected(peer);
     lock.lock();
@@ -365,7 +289,7 @@ bool JournalReplicator::drain_peer(Peer& peer,
     const auto known = peer.acked.find(study);
     if (known == peer.acked.end()) {
       lock.unlock();
-      const auto resp = request(peer, "repl-ack", study);
+      const auto resp = peer.client.request("repl-ack", study);
       lock.lock();
       if (stop_) return true;
       if (!resp.has_value()) return fail();
@@ -423,9 +347,10 @@ bool JournalReplicator::drain_peer(Peer& peer,
           hex_encode(std::string_view(batch).substr(off, n));
       const auto resp =
           off == 0
-              ? request(peer, "repl-snapshot", study + " " + hex)
-              : request(peer, "repl-append",
-                        study + " " + std::to_string(off) + " " + hex);
+              ? peer.client.request("repl-snapshot", study + " " + hex)
+              : peer.client.request(
+                    "repl-append",
+                    study + " " + std::to_string(off) + " " + hex);
       if (!resp.has_value() ||
           !parse_u64_field(*resp, "acked").has_value()) {
         shipped = false;
@@ -437,8 +362,8 @@ bool JournalReplicator::drain_peer(Peer& peer,
     }
     if (shipped) snapshots_total_->add(1);
   } else {
-    const auto resp = request(
-        peer, "repl-append",
+    const auto resp = peer.client.request(
+        "repl-append",
         study + " " + std::to_string(base) + " " + hex_encode(batch));
     if (resp.has_value()) {
       const auto acked = parse_u64_field(*resp, "acked");

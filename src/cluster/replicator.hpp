@@ -1,7 +1,7 @@
 // JournalReplicator — the primary half of journal replication: consumes
 // the byte-level mutation stream every StudySession's journal emits
 // (service/journal.hpp JournalSink) and ships it to each study's replica
-// peer over the existing binary frame protocol.
+// peer over the frame protocol, through one net::Client per peer.
 //
 // Placement decides the peer per study (placement.hpp): the follower when
 // this instance is the study's primary, otherwise the primary — a study
@@ -34,11 +34,11 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "cluster/placement.hpp"
+#include "net/client.hpp"
 #include "service/journal.hpp"
 
 namespace fedtune::obs {
@@ -109,13 +109,11 @@ class JournalReplicator {
   };
   struct Peer {
     ClusterMember member;
-    int fd = -1;
-    std::string in;  // response bytes buffered across reads
+    net::Client client;  // blocking link, io_timeout_s on every call
     std::map<std::string, StudyQueue> queues;
     // Follower-confirmed journal size per study (repl-ack probe / batch
     // acks); nullopt until probed on this connection.
     std::map<std::string, std::uint64_t> acked;
-    bool probed_this_conn = false;
     double next_attempt_s = 0.0;
     double backoff_s = 0.0;
   };
@@ -125,9 +123,6 @@ class JournalReplicator {
   bool drain_peer(Peer& peer, std::unique_lock<std::mutex>& lock);
   bool ensure_connected(Peer& peer);
   void disconnect(Peer& peer);
-  // Frame round trip on the peer's socket; nullopt on connection failure.
-  std::optional<std::string> request(Peer& peer, const std::string& verb,
-                                     const std::string& args);
   // Replaces a study's queue with a single rewrite item via read_journal.
   void resync_study(Peer& peer, const std::string& study);
   void note_shipped(std::size_t frames, std::size_t bytes);

@@ -12,17 +12,16 @@
 //            | u32 payload_size (<= max, kMaxFramePayload by default)
 //            | u32 crc32(payload)   (common/crc32.hpp, zlib-compatible)
 //
-// The first wire byte (0xCF) is deliberately non-ASCII: every text-protocol
-// verb starts with a letter, so a server can sniff the first byte of a new
-// connection and route it to the binary decoder or the newline-delimited
-// text shim (src/README.md §Network protocol documents the mapping).
+// Frames are the protocol's only wire format. The first wire byte (0xCF)
+// is deliberately non-ASCII, so anything else (a newline-terminated text
+// request, an HTTP probe) fails the magic check on its first byte.
 //
-// Request opcodes mirror the text verb set one-to-one; the payload is the
-// space-joined argument tail of the equivalent text line (empty for
-// argument-less verbs). Responses are kOk/kErr with the response text minus
-// its "ok "/"err " prefix as payload. CRC covers the payload only — header
-// corruption is caught by magic/version/reserved/size validation, payload
-// corruption by the checksum.
+// Each request opcode names one verb of the service (src/README.md
+// §Network protocol lists them); the payload is the space-joined argument
+// tail (empty for argument-less verbs). Responses are kOk/kErr with the
+// response text minus its "ok "/"err " prefix as payload. CRC covers the
+// payload only — header corruption is caught by magic/version/reserved/size
+// validation, payload corruption by the checksum.
 //
 // decode_frame() is incremental: feed it the front of a receive buffer and
 // it answers "need more bytes", "here is a frame, consume N bytes", or
@@ -47,8 +46,8 @@ inline constexpr std::size_t kFrameHeaderSize = 24;
 // that could hurt the daemon.
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 
-// Request opcodes mirror the text verbs; kHello is the connection-layer
-// auth handshake (never forwarded to the service handler); kOk/kErr are
+// One request opcode per service verb; kHello is the connection-layer auth
+// handshake (never forwarded to the service handler); kOk/kErr are
 // response-only.
 enum class Opcode : std::uint8_t {
   kPing = 1,
@@ -68,9 +67,8 @@ enum class Opcode : std::uint8_t {
   kDrive = 15,
   kTraceExport = 16,
   // Cluster replication + failover (src/README.md §Cluster): repl-* frames
-  // carry journal bytes hex-encoded in the payload's argument tail, so they
-  // survive both the binary framing and the text shim's whitespace
-  // splitting identically.
+  // carry journal bytes hex-encoded in the payload's argument tail, so the
+  // handler's whitespace splitting cannot cut them.
   kReplAppend = 17,   // repl-append STUDY BASE_OFFSET HEXBYTES
   kReplAck = 18,      // repl-ack STUDY           (offset probe)
   kReplSnapshot = 19, // repl-snapshot STUDY HEXBYTES (whole-file install)
@@ -81,9 +79,9 @@ enum class Opcode : std::uint8_t {
   kErr = 65,
 };
 
-// Text verb for a request opcode (nullptr for kOk/kErr/unknown).
+// Verb for a request opcode (nullptr for kOk/kErr/unknown).
 const char* verb_for_opcode(Opcode op);
-// Request opcode for a text verb (nullopt for unknown verbs).
+// Request opcode for a verb (nullopt for unknown verbs).
 std::optional<Opcode> opcode_for_verb(std::string_view verb);
 
 struct Frame {
@@ -116,13 +114,5 @@ struct DecodeResult {
 // bytes.
 DecodeResult decode_frame(std::string_view in,
                           std::size_t max_payload = kMaxFramePayload);
-
-// Strictly parses the protocol's one multi-line response header,
-// `ok lines=N`: returns N only when everything after "ok lines=" is one to
-// nine decimal digits (bounding N below any overflow or hostile
-// memory-ballooning value). nullopt for anything else — clients must treat
-// a malformed header from a daemon as a protocol error, not as "0 body
-// lines" (mis-framing) and never let a bare std::stoul abort them.
-std::optional<std::size_t> parse_ok_lines_header(std::string_view header);
 
 }  // namespace fedtune::net

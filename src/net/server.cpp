@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -20,28 +19,10 @@ namespace fedtune::net {
 
 namespace {
 
-// First wire byte of an encoded frame (LE kFrameMagic): the mode sniffer.
-constexpr char kBinaryFirstByte = static_cast<char>(kFrameMagic & 0xFFu);
-
 double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Splits "verb rest..." at the first space; rest keeps internal spacing.
-void split_verb(const std::string& line, std::string* verb,
-                std::string* args) {
-  const std::size_t sp = line.find(' ');
-  if (sp == std::string::npos) {
-    *verb = line;
-    args->clear();
-    return;
-  }
-  *verb = line.substr(0, sp);
-  std::size_t start = sp;
-  while (start < line.size() && line[start] == ' ') ++start;
-  *args = line.substr(start);
 }
 
 // Second word of a line ("create-study NAME ..." / "suspend NAME").
@@ -240,40 +221,6 @@ void Server::on_conn_event(int fd, std::uint32_t revents) {
 }
 
 void Server::process_input(int fd) {
-  Conn* c = find(fd);
-  if (c == nullptr || c->in.empty()) return;
-  if (c->mode == Mode::kUnknown) {
-    c->mode = c->in[0] == kBinaryFirstByte ? Mode::kBinary : Mode::kText;
-  }
-  if (c->mode == Mode::kBinary) {
-    process_binary(fd);
-  } else {
-    process_text(fd);
-  }
-}
-
-void Server::process_text(int fd) {
-  Conn* c;
-  while ((c = find(fd)) != nullptr && !c->close_after_flush) {
-    const std::size_t nl = c->in.find('\n');
-    if (nl == std::string::npos) {
-      if (c->in.size() > opts_.max_text_line_bytes) {
-        protocol_error(fd, "request line too long");
-      }
-      return;
-    }
-    std::string line = c->in.substr(0, nl);
-    c->in.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    frames_in_->add();
-    std::string verb, args;
-    split_verb(line, &verb, &args);
-    dispatch(fd, verb, args);
-  }
-}
-
-void Server::process_binary(int fd) {
   Conn* c;
   while ((c = find(fd)) != nullptr && !c->close_after_flush) {
     const DecodeResult res = decode_frame(c->in, opts_.max_frame_payload);
@@ -331,19 +278,6 @@ void Server::dispatch(int fd, const std::string& verb,
                       const std::string& args) {
   Conn* c = find(fd);
   if (c == nullptr) return;
-  if (verb == "hello") {
-    // Text form: `hello TENANT [TOKEN]`.
-    std::istringstream in(args);
-    std::uint64_t tenant = 0;
-    std::string token;
-    if (!(in >> tenant)) {
-      queue_response(fd, "err usage: hello TENANT [TOKEN]");
-      return;
-    }
-    in >> token;
-    handle_hello(fd, tenant, token);
-    return;
-  }
   if (!c->authed) {
     auth_failures_->add();
     c->close_after_flush = true;
@@ -392,23 +326,17 @@ void Server::dispatch(int fd, const std::string& verb,
 void Server::queue_response(int fd, const std::string& response) {
   Conn* c = find(fd);
   if (c == nullptr) return;
-  std::string bytes;
-  if (c->mode == Mode::kBinary) {
-    Frame frame;
-    frame.tenant = c->tenant;
-    if (response.rfind("ok", 0) == 0) {
-      frame.opcode = Opcode::kOk;
-      frame.payload = response.size() > 3 ? response.substr(3) : "";
-    } else {
-      frame.opcode = Opcode::kErr;
-      frame.payload = response.size() > 4 ? response.substr(4) : response;
-    }
-    bytes = encode_frame(frame);
+  Frame frame;
+  frame.tenant = c->tenant;
+  if (response.rfind("ok", 0) == 0) {
+    frame.opcode = Opcode::kOk;
+    frame.payload = response.size() > 3 ? response.substr(3) : "";
   } else {
-    bytes = response + "\n";
+    frame.opcode = Opcode::kErr;
+    frame.payload = response.size() > 4 ? response.substr(4) : response;
   }
   frames_out_->add();
-  c->out.append(bytes);
+  c->out.append(encode_frame(frame));
   flush(fd);
 }
 

@@ -6,10 +6,10 @@
 // single multi-line exception is `metrics`, which answers `ok lines=N`
 // followed by N raw Prometheus exposition lines). The handler owns no
 // transport: it is a pure mapping from (line, manager state) to (response,
-// manager state), so a request arriving over TCP frames, the Unix text
-// protocol, or a direct in-process call is handled identically — which is
-// what keeps kill/resume over any transport bitwise-identical to a serial
-// run.
+// manager state), so a request arriving in a frame over TCP or a Unix
+// socket, or through a direct in-process call, is handled identically —
+// which is what keeps kill/resume over any transport bitwise-identical to a
+// serial run.
 //
 // Verb grammar: src/README.md §Network protocol.
 #pragma once

@@ -146,6 +146,10 @@ StudySession& StudyManager::create_study(StudySpec spec) {
 }
 
 StudySession& StudyManager::resume_study(const std::string& name) {
+  return adopt(recover_for_resume(name));
+}
+
+RecoveredStudy StudyManager::recover_for_resume(const std::string& name) const {
   // Same identity rules as create: a protocol-supplied name with '/' must
   // not escape the journal directory.
   FEDTUNE_CHECK_MSG(valid_study_name(name),
@@ -159,6 +163,11 @@ StudySession& StudyManager::resume_study(const std::string& name) {
   FEDTUNE_CHECK_MSG(recovered.spec.name == name,
                     "journal for '" << recovered.spec.name
                                     << "' found under name '" << name << "'");
+  return recovered;
+}
+
+StudySession& StudyManager::adopt(RecoveredStudy recovered) {
+  const std::string name = recovered.spec.name;
   std::shared_ptr<const PoolResources> study_pool;
   if (!recovered.spec.external) {
     study_pool = pool(recovered.spec.pool);
@@ -184,19 +193,39 @@ std::size_t StudyManager::resume_all() {
     if (fname.size() <= kExt.size() || !fname.ends_with(kExt)) continue;
     names.push_back(fname.substr(0, fname.size() - kExt.size()));
   }
-  // list_dir returns sorted names, so the resume order is deterministic.
+  // One unrecoverable journal (e.g. a create record that never got flushed
+  // before the crash) must not keep every healthy tenant down: report it
+  // and move on.
+  const auto report = [](const std::string& name, const std::exception& ex) {
+    std::cerr << "[study-manager] cannot resume '" << name
+              << "': " << ex.what() << "\n";
+  };
+  // Unfinished studies take the slots first: a finished one only answers
+  // queries, so it must not crowd out a study that still has work. Within
+  // each group the order is list_dir's sorted order (deterministic).
+  std::vector<std::string> finished;
   for (const std::string& name : names) {
     if (sessions_.find(name) != sessions_.end()) continue;
     if (sessions_.size() >= opts_.max_studies) break;
-    // One unrecoverable journal (e.g. a create record that never got
-    // flushed before the crash) must not keep every healthy tenant down:
-    // report it and move on.
+    try {
+      RecoveredStudy recovered = recover_for_resume(name);
+      if (recovered.finished) {
+        finished.push_back(name);
+        continue;
+      }
+      adopt(std::move(recovered));
+      ++resumed;
+    } catch (const std::exception& ex) {
+      report(name, ex);
+    }
+  }
+  for (const std::string& name : finished) {
+    if (sessions_.size() >= opts_.max_studies) break;
     try {
       resume_study(name);
       ++resumed;
     } catch (const std::exception& ex) {
-      std::cerr << "[study-manager] cannot resume '" << name
-                << "': " << ex.what() << "\n";
+      report(name, ex);
     }
   }
   return resumed;

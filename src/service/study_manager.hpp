@@ -76,7 +76,8 @@ class StudyManager {
 
   // Reconstructs a study from its journal (after a crash or suspend).
   StudySession& resume_study(const std::string& name);
-  // Resumes every journal found in journal_dir that is not already active;
+  // Resumes every journal found in journal_dir that is not already active,
+  // unfinished studies first, then finished ones while slots remain;
   // returns how many studies were resumed (daemon startup).
   std::size_t resume_all();
 
@@ -106,6 +107,10 @@ class StudyManager {
   std::shared_ptr<core::EvalCache> eval_cache(const std::string& pool) const;
 
  private:
+  // resume_study's two halves: the identity/capacity checks plus the
+  // journal replay, then the session construction.
+  RecoveredStudy recover_for_resume(const std::string& name) const;
+  StudySession& adopt(RecoveredStudy recovered);
   // Per-study session options: the I/O plumbing plus the study's pool cache.
   SessionOptions session_options(const std::string& pool) const;
 

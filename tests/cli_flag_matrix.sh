@@ -70,11 +70,17 @@ expect_usage_error "studyd --tcp bad port" -- \
 expect_usage_error "ctl wait bad timeout" -- \
   "$ctl" --socket /tmp/nope.sock wait s banana
 
-# A malformed multi-line response header from a hostile/corrupt daemon
-# must be a clean protocol error (exit 1), not an abort. Serve one
-# connection with a bogus "ok lines=banana" header via a bash/dev/tcp-free
-# fake daemon on a Unix socket stand-in: use a python one-shot server only
-# if available, else skip (the gtest suite covers the parse function).
+# Frames are the only wire format: the flags that once picked the text
+# protocol are gone, and scripts still passing them must fail loudly.
+expect_usage_error "ctl --binary removed" -- \
+  "$ctl" --tcp 127.0.0.1:1 --binary ping
+expect_usage_error "loadgen --mode removed" -- \
+  "$loadgen" --tcp 127.0.0.1:1 --mode text
+
+# A hostile/corrupt daemon answering with something other than a frame
+# (here a text line with a bogus "ok lines=banana" header) must be a clean
+# protocol error (exit 1), not an abort or a retry loop. The fake daemon is
+# a python one-shot server on a Unix socket, skipped without python3.
 if command -v python3 >/dev/null 2>&1; then
   sock_dir=$(mktemp -d)
   sock="$sock_dir/fake.sock"
@@ -97,10 +103,10 @@ PY
   "$ctl" --socket "$sock" metrics >/dev/null 2>&1
   rc=$?
   if [ "$rc" -ne 1 ]; then
-    echo "FAIL [ctl malformed ok lines= header]: expected exit 1, got $rc" >&2
+    echo "FAIL [ctl non-frame response]: expected exit 1, got $rc" >&2
     fails=$((fails + 1))
   else
-    echo "ok   [ctl malformed ok lines= header]"
+    echo "ok   [ctl non-frame response]"
   fi
   wait "$fake_pid" 2>/dev/null
   rm -rf "$sock_dir"

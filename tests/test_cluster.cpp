@@ -9,15 +9,10 @@
 // socket end-to-end replication + failover against a live follower daemon.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -33,6 +28,7 @@
 #include "cluster/replicator.hpp"
 #include "core/config_pool.hpp"
 #include "hpo/search_space.hpp"
+#include "net/client.hpp"
 #include "net/event_loop.hpp"
 #include "net/server.hpp"
 #include "nn/factory.hpp"
@@ -325,67 +321,18 @@ TEST(ReplicaStoreTest, InstallReplacesAndPromoteMovesIntoLiveDir) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket plumbing (mirrors tests/test_net.cpp's blocking client helpers)
+// Socket plumbing
 
-int connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval tv{};
-  tv.tv_sec = 10;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  return fd;
+// One request "VERB ARGS..." to a loopback node on a fresh connection; ""
+// when no answer arrived.
+std::string request(std::uint16_t port, const std::string& line) {
+  net::Client c;
+  if (!c.connect_tcp("127.0.0.1", port, 10.0)) return "";
+  const std::size_t sp = line.find(' ');
+  return c.request(line.substr(0, sp),
+                   sp == std::string::npos ? "" : line.substr(sp + 1))
+      .value_or("");
 }
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-class TextClient {
- public:
-  explicit TextClient(int fd) : fd_(fd) {}
-  ~TextClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-  std::string request(const std::string& line) {
-    if (!send_all(fd_, line + "\n")) return "";
-    char buf[4096];
-    for (;;) {
-      const std::size_t nl = carry_.find('\n');
-      if (nl != std::string::npos) {
-        std::string out = carry_.substr(0, nl);
-        carry_.erase(0, nl + 1);
-        return out;
-      }
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return "";
-      carry_.append(buf, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  std::string carry_;
-};
 
 // A StudyService node (manager + handler + server + event loop on a
 // background thread) with the cluster context wired in — a follower a
@@ -717,26 +664,20 @@ TEST_F(ClusterFixture, SocketReplicationThenFailoverIsBitwise) {
   // The follower's replica is a byte-exact copy of the primary's journal.
   const std::string journal = read_file_or_empty(dirA + "/m1.journal");
   ASSERT_FALSE(journal.empty());
-  {
-    TextClient probe(connect_tcp(port));
-    ASSERT_TRUE(probe.ok());
-    EXPECT_EQ(probe.request("repl-ack m1"),
-              "ok offset=" + std::to_string(journal.size()));
-  }
+  EXPECT_EQ(request(port, "repl-ack m1"),
+            "ok offset=" + std::to_string(journal.size()));
   EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("m1")),
             journal);
 
   // Primary dies: stop replicating. The failed-over client's first request
   // auto-promotes the replica — zero live re-evaluations, identical trace.
   replicator->stop();
-  TextClient client(connect_tcp(port));
-  ASSERT_TRUE(client.ok());
-  EXPECT_EQ(client.request("trace m1"), reference);
-  const std::string promoted = client.request("promote m1");
+  EXPECT_EQ(request(port, "trace m1"), reference);
+  const std::string promoted = request(port, "promote m1");
   EXPECT_EQ(promoted.rfind("ok promoted m1 already-active", 0), 0u)
       << promoted;
   EXPECT_NE(promoted.find("live_evals=0"), std::string::npos) << promoted;
-  const std::string status = client.request("status m1");
+  const std::string status = request(port, "status m1");
   EXPECT_NE(status.find("state=finished"), std::string::npos) << status;
 }
 
@@ -777,9 +718,7 @@ TEST_F(ClusterFixture, OffsetMismatchTriggersChunkedSnapshotCatchUp) {
   replicator.on_mutation("behind", tail);
 
   ASSERT_TRUE(replicator.flush(20.0));
-  TextClient probe(connect_tcp(port));
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe.request("repl-ack behind"),
+  EXPECT_EQ(request(port, "repl-ack behind"),
             "ok offset=" + std::to_string(journal.size()));
   EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("behind")),
             journal);

@@ -1,22 +1,17 @@
 // Networked StudyService tests: frame codec round-trip and corruption
-// rejection, partial-input framing (the PR 4 split-read regression), auth
-// and per-tenant quota enforcement at the connection layer, slow-reader
-// backpressure disconnects that leave other tenants bitwise-unperturbed,
-// cross-transport determinism for external ask/tell studies, and
-// kill/resume of TCP-served managed studies at several interruption points.
+// rejection, partial-input framing over TCP and Unix sockets, rejection of
+// non-frame bytes, auth and per-tenant quota enforcement at the connection
+// layer, slow-reader backpressure disconnects that leave other tenants
+// bitwise-unperturbed, cross-transport determinism for external ask/tell
+// studies, and kill/resume of TCP-served managed studies at several
+// interruption points. Every test talks to the server through net::Client.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -27,6 +22,7 @@
 
 #include "core/config_pool.hpp"
 #include "hpo/search_space.hpp"
+#include "net/client.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/quota.hpp"
@@ -50,7 +46,7 @@ TEST(FrameCodec, RoundTripAndIncrementalDecode) {
   f.payload = "s1 7 0x1.8p-1";
   const std::string wire = encode_frame(f);
   ASSERT_EQ(wire.size(), kFrameHeaderSize + f.payload.size());
-  // The first wire byte is non-ASCII by design (the mode sniffer).
+  // The first wire byte is non-ASCII by design: text fails on byte one.
   EXPECT_EQ(static_cast<unsigned char>(wire[0]), 0xCFu);
 
   // Every proper prefix is kNeedMore; the full buffer decodes exactly.
@@ -188,26 +184,6 @@ TEST(TokenBucket, ZeroBurstWithPositiveRateClampsToOneToken) {
   EXPECT_FALSE(frac.try_consume(0.0));
 }
 
-// Clients frame multi-line responses off this header; a hostile or
-// corrupted header must parse to nullopt, never to a bogus line count (or
-// an aborting std::stoul).
-TEST(FrameCodec, ParseOkLinesHeaderIsStrict) {
-  ASSERT_TRUE(parse_ok_lines_header("ok lines=0").has_value());
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=0"), 0u);
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=42"), 42u);
-  EXPECT_EQ(*parse_ok_lines_header("ok lines=123456789"), 123456789u);
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=banana").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=12x").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=-1").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok lines= 1").has_value());
-  // Ten digits would admit memory-ballooning counts; nine is the cap.
-  EXPECT_FALSE(parse_ok_lines_header("ok lines=1234567890").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("err lines=3").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("ok").has_value());
-  EXPECT_FALSE(parse_ok_lines_header("").has_value());
-}
-
 TEST(TenantQuotas, ConcurrentStudyCapPerTenant) {
   QuotaOptions opts;
   opts.max_studies_per_tenant = 2;
@@ -261,147 +237,22 @@ TEST(AuthTableTest, LoadParsesAndValidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Server harness + blocking test clients
+// Server harness
 
-int set_recv_timeout(int fd, int seconds) {
-  timeval tv{};
-  tv.tv_sec = seconds;
-  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+// One request "VERB ARGS..." over `c`; "" when no answer arrived (tests
+// assert content).
+std::string request(Client& c, const std::string& line) {
+  const std::size_t sp = line.find(' ');
+  return c.request(line.substr(0, sp),
+                   sp == std::string::npos ? "" : line.substr(sp + 1))
+      .value_or("");
 }
 
-int connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  set_recv_timeout(fd, 10);
-  return fd;
+std::string socket_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("fedtune_net_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
+      .string();
 }
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  set_recv_timeout(fd, 10);
-  return fd;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// Reads one '\n'-terminated line; "" on EOF/timeout (tests assert content).
-std::string recv_line(int fd, std::string* carry) {
-  char buf[4096];
-  for (;;) {
-    const std::size_t nl = carry->find('\n');
-    if (nl != std::string::npos) {
-      std::string line = carry->substr(0, nl);
-      carry->erase(0, nl + 1);
-      return line;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return "";
-    carry->append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-// One kOk/kErr frame mapped back to "ok ..." / "err ..."; "" on failure.
-std::string recv_frame_response(int fd, std::string* carry) {
-  char buf[4096];
-  for (;;) {
-    const DecodeResult r = decode_frame(*carry);
-    if (r.status == DecodeStatus::kBad) return "";
-    if (r.status == DecodeStatus::kFrame) {
-      carry->erase(0, r.consumed);
-      const char* prefix = r.frame.opcode == Opcode::kOk ? "ok" : "err";
-      return r.frame.payload.empty()
-                 ? std::string(prefix)
-                 : std::string(prefix) + " " + r.frame.payload;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return "";
-    carry->append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-// Persistent text-mode client connection.
-class TextClient {
- public:
-  explicit TextClient(int fd) : fd_(fd) {}
-  ~TextClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-  std::string request(const std::string& line) {
-    if (!send_all(fd_, line + "\n")) return "";
-    return recv_line(fd_, &carry_);
-  }
-  std::string read_line() { return recv_line(fd_, &carry_); }
-
- private:
-  int fd_;
-  std::string carry_;
-};
-
-// Persistent binary-mode client connection.
-class BinaryClient {
- public:
-  explicit BinaryClient(int fd) : fd_(fd) {}
-  ~BinaryClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool ok() const { return fd_ >= 0; }
-  std::string request(Opcode op, std::uint64_t tenant,
-                      const std::string& payload) {
-    Frame f;
-    f.opcode = op;
-    f.tenant = tenant;
-    f.payload = payload;
-    if (!send_all(fd_, encode_frame(f))) return "";
-    return recv_frame_response(fd_, &carry_);
-  }
-  // Sends a text-form request ("verb args...") as a binary frame.
-  std::string request_line(const std::string& line, std::uint64_t tenant) {
-    const std::size_t sp = line.find(' ');
-    const std::string verb = line.substr(0, sp);
-    const auto op = opcode_for_verb(verb);
-    if (!op.has_value()) return "";
-    return request(*op, tenant,
-                   sp == std::string::npos ? "" : line.substr(sp + 1));
-  }
-  bool send_raw(const std::string& bytes) { return send_all(fd_, bytes); }
-  std::string read_response() { return recv_frame_response(fd_, &carry_); }
-
- private:
-  int fd_;
-  std::string carry_;
-};
 
 // A Server + EventLoop running on a background thread. The StudyManager
 // (when present) is only ever touched from the loop thread via the handler;
@@ -414,7 +265,7 @@ class ServerHarness {
   }
 
   // Service harness: the real verb dispatcher over a StudyManager with the
-  // shared test pool registered as "p". The extra test-only verb `blob`
+  // shared test pool registered as "p". The test-only request `ping blob`
   // answers 8 KiB (a deterministic backpressure hammer).
   ServerHarness(const service::ManagerOptions& mopts,
                 std::shared_ptr<const service::PoolResources> pool,
@@ -426,7 +277,7 @@ class ServerHarness {
     server_ = std::make_unique<Server>(
         loop_, std::move(sopts),
         [this](const std::string& line, std::uint64_t, bool* keep) {
-          if (line == "blob") return "ok " + std::string(8192, 'x');
+          if (line == "ping blob") return "ok " + std::string(8192, 'x');
           return handler_->handle(line, keep);
         });
   }
@@ -438,7 +289,15 @@ class ServerHarness {
     return server_->tcp_port();
   }
   bool listen_unix(const std::string& path) {
+    unix_path_ = path;
     return server_->listen_unix(path);
+  }
+
+  // Connects a blocking client (10 s io timeout) over TCP or the Unix
+  // listener.
+  bool connect(Client& c, bool via_unix = false) const {
+    return via_unix ? c.connect_unix(unix_path_, 10.0)
+                    : c.connect_tcp("127.0.0.1", server_->tcp_port(), 10.0);
   }
 
   void start() {
@@ -446,6 +305,7 @@ class ServerHarness {
       while (!stop_.load(std::memory_order_relaxed) && !server_->stopping()) {
         loop_.run_once(10);
       }
+      stopping_.store(server_->stopping());
     });
   }
 
@@ -457,21 +317,27 @@ class ServerHarness {
     server_->shutdown(0);
   }
 
-  bool stopping() const { return server_->stopping(); }
+  // Server::stopping() belongs to the loop thread; the test thread reads
+  // this copy, published when the loop thread exits.
+  bool stopping() const { return stopping_.load(); }
 
  private:
   EventLoop loop_;
   std::unique_ptr<service::StudyManager> manager_;
   std::unique_ptr<service::ServiceHandler> handler_;
   std::unique_ptr<Server> server_;
+  std::string unix_path_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> stopping_{false};
 };
 
+// `ping whoami` is a test-only request: it reports the tenant the server
+// attributed the request to.
 Server::Handler ping_handler() {
   return [](const std::string& line, std::uint64_t tenant, bool* keep) {
     if (line == "ping") return std::string("ok pong");
-    if (line == "whoami") return "ok tenant=" + std::to_string(tenant);
+    if (line == "ping whoami") return "ok tenant=" + std::to_string(tenant);
     if (line == "shutdown") {
       *keep = false;
       return std::string("ok bye");
@@ -559,79 +425,48 @@ std::shared_ptr<const service::PoolResources> NetFixture::pool_;
 // ---------------------------------------------------------------------------
 // Protocol-level server behavior (no StudyManager needed)
 
-// The PR 4 daemon assumed one read() delivered a whole line; a request
-// trickling in one byte per segment must parse identically.
-TEST(NetServer, TextRequestSplitAcrossSegments) {
-  ServerHarness h(ServerOptions{}, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
-  h.start();
-  TextClient client(connect_tcp(port));
-  ASSERT_TRUE(client.ok());
-  for (const char c : std::string("ping\n")) {
-    ASSERT_TRUE(send_all(client.fd(), std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(client.read_line(), "ok pong");
-  // Same connection still works for a normally-framed request, and for two
-  // requests pipelined into one segment.
-  EXPECT_EQ(client.request("ping"), "ok pong");
-  ASSERT_TRUE(send_all(client.fd(), "ping\nping\n"));
-  EXPECT_EQ(client.read_line(), "ok pong");
-  EXPECT_EQ(client.read_line(), "ok pong");
-}
-
-TEST(NetServer, UnixSocketTextSplitAcrossSegments) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("fedtune_net_ux_" + std::to_string(::getpid()) + ".sock"))
-          .string();
-  ServerHarness h(ServerOptions{}, ping_handler());
-  ASSERT_TRUE(h.listen_unix(path));
-  h.start();
-  TextClient client(connect_unix(path));
-  ASSERT_TRUE(client.ok());
-  for (const char c : std::string("ping\n")) {
-    ASSERT_TRUE(send_all(client.fd(), std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(client.read_line(), "ok pong");
-}
-
+// A frame trickling in one byte per segment decodes identically to one
+// arriving in a single read, over TCP and the Unix listener alike.
 TEST(NetServer, BinaryFrameSplitAcrossSegments) {
   ServerHarness h(ServerOptions{}, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
+  ASSERT_TRUE(h.listen_unix(socket_path("split")));
   h.start();
-  BinaryClient client(connect_tcp(port));
-  ASSERT_TRUE(client.ok());
   Frame f;
   f.opcode = Opcode::kPing;
   f.tenant = 9;
   const std::string wire = encode_frame(f);
-  for (const char c : wire) {
-    ASSERT_TRUE(client.send_raw(std::string(1, c)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const bool via_unix : {false, true}) {
+    SCOPED_TRACE(via_unix ? "unix" : "tcp");
+    Client client;
+    ASSERT_TRUE(h.connect(client, via_unix));
+    for (const char c : wire) {
+      ASSERT_TRUE(client.send_bytes(std::string(1, c)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(client.read_response().value_or(""), "ok pong");
+    // Same connection still works for a normally-framed request, and for
+    // two requests pipelined into one segment.
+    EXPECT_EQ(request(client, "ping"), "ok pong");
+    ASSERT_TRUE(client.send_bytes(wire + wire));
+    EXPECT_EQ(client.read_response().value_or(""), "ok pong");
+    EXPECT_EQ(client.read_response().value_or(""), "ok pong");
   }
-  EXPECT_EQ(client.read_response(), "ok pong");
-  // Tenant id rides in the header (open auth mode trusts it).
-  EXPECT_EQ(client.request(Opcode::kPing, 9, ""), "ok pong");
 }
 
 TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
   ServerOptions sopts;
   sopts.max_frame_payload = 1024;
   ServerHarness h(sopts, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
   h.start();
 
-  // Binary-looking garbage: first byte 0xCF, then junk.
+  // Frame-looking garbage: first byte 0xCF, then junk.
   {
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(std::string("\xCF\x00\x01\x02junkjunkjunk", 16)));
-    const std::string r = bad.read_response();
+    Client bad;
+    ASSERT_TRUE(h.connect(bad));
+    ASSERT_TRUE(bad.send_bytes(std::string("\xCF\x00\x01\x02junkjunkjunk", 16)));
+    const std::string r = bad.read_response().value_or("");
     EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
   }
   // CRC mismatch.
@@ -641,10 +476,10 @@ TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
     f.payload = "xyz";
     std::string wire = encode_frame(f);
     wire[kFrameHeaderSize] ^= 0x01;
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(wire));
-    const std::string r = bad.read_response();
+    Client bad;
+    ASSERT_TRUE(h.connect(bad));
+    ASSERT_TRUE(bad.send_bytes(wire));
+    const std::string r = bad.read_response().value_or("");
     EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
   }
   // Oversized declared payload (above the server's cap).
@@ -652,79 +487,78 @@ TEST(NetServer, GarbageAndCorruptFramesDontKillTheServer) {
     Frame f;
     f.opcode = Opcode::kPing;
     f.payload = std::string(2048, 'a');
-    BinaryClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(bad.send_raw(encode_frame(f)));
-    const std::string r = bad.read_response();
+    Client bad;
+    ASSERT_TRUE(h.connect(bad));
+    ASSERT_TRUE(bad.send_bytes(encode_frame(f)));
+    const std::string r = bad.read_response().value_or("");
     EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
   }
-  // Over-long unterminated text line.
+  // A newline-terminated text request is not a frame: exactly one kErr
+  // `protocol` frame, then the server closes the connection.
   {
-    TextClient bad(connect_tcp(port));
-    ASSERT_TRUE(bad.ok());
-    ASSERT_TRUE(send_all(bad.fd(), std::string(70 * 1024, 'a')));
-    const std::string r = bad.read_line();
-    EXPECT_TRUE(r.empty() || r.rfind("err", 0) == 0) << r;
+    obs::Counter& protocol_errors = obs::MetricsRegistry::global().counter(
+        "fedtune_net_protocol_errors_total");
+    const std::uint64_t before = protocol_errors.value();
+    Client bad;
+    ASSERT_TRUE(h.connect(bad));
+    ASSERT_TRUE(bad.send_bytes("ping\n"));
+    EXPECT_EQ(bad.read_response().value_or(""),
+              "err protocol: bad frame magic");
+    EXPECT_FALSE(bad.read_response().has_value());
+    EXPECT_EQ(protocol_errors.value(), before + 1);
   }
 
   // After all of that, a healthy client is served normally.
-  TextClient good(connect_tcp(port));
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(good.request("ping"), "ok pong");
+  Client good;
+  ASSERT_TRUE(h.connect(good));
+  EXPECT_EQ(request(good, "ping"), "ok pong");
 }
 
 TEST(NetServer, AuthRequiredOnTcpAndPreTrustedOnUnix) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("fedtune_net_auth_" + std::to_string(::getpid()) + ".sock"))
-          .string();
   ServerOptions sopts;
   sopts.auth.add(7, "sekrit");
   ServerHarness h(sopts, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
-  ASSERT_TRUE(h.listen_unix(path));
+  ASSERT_NE(h.listen(), 0);
+  ASSERT_TRUE(h.listen_unix(socket_path("auth")));
   h.start();
 
   // Pre-hello request on TCP: rejected and disconnected.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("ping"), "err auth required (send hello first)");
-    EXPECT_EQ(c.read_line(), "");  // server closed the connection
+    Client c;
+    ASSERT_TRUE(h.connect(c));
+    EXPECT_EQ(request(c, "ping"), "err auth required (send hello first)");
+    EXPECT_FALSE(c.read_response().has_value());  // server closed it
   }
   // Wrong token.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("hello 7 wrong"), "err auth failed for tenant 7");
+    Client c;
+    ASSERT_TRUE(h.connect(c));
+    EXPECT_EQ(c.hello(7, "wrong").value_or(""),
+              "err auth failed for tenant 7");
   }
   // Unknown tenant.
   {
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request(Opcode::kHello, 99, "sekrit"),
+    Client c;
+    ASSERT_TRUE(h.connect(c));
+    EXPECT_EQ(c.hello(99, "sekrit").value_or(""),
               "err auth failed for tenant 99");
   }
-  // Correct hello, text form; requests attribute to the tenant.
+  // Correct hello (token in the payload, tenant in the header): later
+  // requests attribute to the authenticated tenant, whatever their header
+  // says.
   {
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("hello 7 sekrit"), "ok hello tenant=7");
-    EXPECT_EQ(c.request("whoami"), "ok tenant=7");
-  }
-  // Correct hello, binary form (token in the payload, tenant in the header).
-  {
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request(Opcode::kHello, 7, "sekrit"), "ok hello tenant=7");
-    EXPECT_EQ(c.request(Opcode::kPing, 7, ""), "ok pong");
+    Client c;
+    ASSERT_TRUE(h.connect(c));
+    EXPECT_EQ(c.hello(7, "sekrit").value_or(""), "ok hello tenant=7");
+    EXPECT_EQ(request(c, "ping"), "ok pong");
+    c.set_tenant(0);
+    EXPECT_EQ(request(c, "ping whoami"), "ok tenant=7");
   }
   // Unix connections are local and pre-trusted: no hello needed.
   {
-    TextClient c(connect_unix(path));
-    ASSERT_TRUE(c.ok());
-    EXPECT_EQ(c.request("ping"), "ok pong");
+    Client c;
+    ASSERT_TRUE(h.connect(c, /*via_unix=*/true));
+    EXPECT_EQ(request(c, "ping"), "ok pong");
   }
 }
 
@@ -736,28 +570,26 @@ TEST(NetServer, RateQuotaEnforcedAgainstInjectedClock) {
   sopts.quota.burst = 2.0;
   sopts.now_s = [fake_now] { return fake_now->load(); };
   ServerHarness h(sopts, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
   h.start();
-  TextClient c(connect_tcp(port));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "err quota exceeded (rate)");
+  Client c;
+  ASSERT_TRUE(h.connect(c));
+  EXPECT_EQ(request(c, "ping"), "ok pong");
+  EXPECT_EQ(request(c, "ping"), "ok pong");
+  EXPECT_EQ(request(c, "ping"), "err quota exceeded (rate)");
   fake_now->store(10.0);  // refill (capped at burst)
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "ok pong");
-  EXPECT_EQ(c.request("ping"), "err quota exceeded (rate)");
+  EXPECT_EQ(request(c, "ping"), "ok pong");
+  EXPECT_EQ(request(c, "ping"), "ok pong");
+  EXPECT_EQ(request(c, "ping"), "err quota exceeded (rate)");
 }
 
 TEST(NetServer, ShutdownVerbStopsTheServer) {
   ServerHarness h(ServerOptions{}, ping_handler());
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
   h.start();
-  TextClient c(connect_tcp(port));
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.request("shutdown"), "ok bye");
+  Client c;
+  ASSERT_TRUE(h.connect(c));
+  EXPECT_EQ(request(c, "shutdown"), "ok bye");
   for (int i = 0; i < 100 && !h.stopping(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -783,31 +615,20 @@ TEST_F(NetFixture, ExternalAskTellIdenticalAcrossTransportsAndDirect) {
   const std::string want = direct_last_response(ref_script);
   ASSERT_EQ(want.rfind("ok n=", 0), 0) << want;
 
-  // Text over TCP.
-  {
+  // Frames over TCP and over the Unix listener.
+  for (const bool via_unix : {false, true}) {
+    SCOPED_TRACE(via_unix ? "unix" : "tcp");
     ServerHarness h(manager_options(fresh_dir()), pool_, ServerOptions{});
-    const std::uint16_t port = h.listen();
-    ASSERT_NE(port, 0);
+    ASSERT_NE(h.listen(), 0);
+    ASSERT_TRUE(h.listen_unix(socket_path("asktell")));
     h.start();
-    TextClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
+    Client c;
+    ASSERT_TRUE(h.connect(c, via_unix));
+    c.set_tenant(4);
     for (const std::string& v : script) {
-      ASSERT_EQ(c.request(v).rfind("ok", 0), 0) << v;
+      ASSERT_EQ(request(c, v).rfind("ok", 0), 0) << v;
     }
-    EXPECT_EQ(c.request("trace e1"), want);
-  }
-  // Binary frames over TCP.
-  {
-    ServerHarness h(manager_options(fresh_dir()), pool_, ServerOptions{});
-    const std::uint16_t port = h.listen();
-    ASSERT_NE(port, 0);
-    h.start();
-    BinaryClient c(connect_tcp(port));
-    ASSERT_TRUE(c.ok());
-    for (const std::string& v : script) {
-      ASSERT_EQ(c.request_line(v, 4).rfind("ok", 0), 0) << v;
-    }
-    EXPECT_EQ(c.request_line("trace e1", 4), want);
+    EXPECT_EQ(request(c, "trace e1"), want);
   }
 }
 
@@ -815,23 +636,25 @@ TEST_F(NetFixture, StudyQuotaGatesCreateAndReleasesOnSuspend) {
   ServerOptions sopts;
   sopts.quota.max_studies_per_tenant = 1;
   ServerHarness h(manager_options(fresh_dir()), pool_, sopts);
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
   h.start();
-  BinaryClient a(connect_tcp(port));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a.request_line("create-study q1 external max-trials=2", 1)
+  Client a;
+  ASSERT_TRUE(h.connect(a));
+  a.set_tenant(1);
+  EXPECT_EQ(request(a, "create-study q1 external max-trials=2")
                 .rfind("ok created", 0),
             0);
-  EXPECT_EQ(a.request_line("create-study q2 external max-trials=2", 1),
+  EXPECT_EQ(request(a, "create-study q2 external max-trials=2"),
             "err quota exceeded (max 1 concurrent studies per tenant)");
   // A different tenant is unaffected.
-  EXPECT_EQ(a.request_line("create-study q3 external max-trials=2", 2)
+  a.set_tenant(2);
+  EXPECT_EQ(request(a, "create-study q3 external max-trials=2")
                 .rfind("ok created", 0),
             0);
   // Suspending releases the slot.
-  EXPECT_EQ(a.request_line("suspend q1", 1), "ok suspended q1");
-  EXPECT_EQ(a.request_line("create-study q4 external max-trials=2", 1)
+  a.set_tenant(1);
+  EXPECT_EQ(request(a, "suspend q1"), "ok suspended q1");
+  EXPECT_EQ(request(a, "create-study q4 external max-trials=2")
                 .rfind("ok created", 0),
             0);
 }
@@ -845,17 +668,19 @@ TEST_F(NetFixture, SlowReaderDisconnectedOthersBitwiseUnaffected) {
   sopts.max_write_queue_bytes = 16 * 1024;  // ~2 blob responses
   sopts.sndbuf_bytes = 4096;                // keep the kernel buffer small
   ServerHarness h(manager_options(fresh_dir()), pool_, sopts);
-  const std::uint16_t port = h.listen();
-  ASSERT_NE(port, 0);
+  ASSERT_NE(h.listen(), 0);
   h.start();
 
   // The stalled reader: pipelines 64 blob requests (64 * ~8 KiB of
   // responses) and never reads a byte.
-  const int slow_fd = connect_tcp(port);
-  ASSERT_GE(slow_fd, 0);
+  Client slow;
+  ASSERT_TRUE(h.connect(slow));
+  Frame blob;
+  blob.opcode = Opcode::kPing;
+  blob.payload = "blob";
   std::string flood;
-  for (int i = 0; i < 64; ++i) flood += "blob\n";
-  send_all(slow_fd, flood);  // may itself fail once the server disconnects
+  for (int i = 0; i < 64; ++i) flood += encode_frame(blob);
+  slow.send_bytes(flood);  // may itself fail once the server disconnects
 
   // The server must hit the write-queue cap and cut the connection without
   // stalling the loop.
@@ -871,19 +696,18 @@ TEST_F(NetFixture, SlowReaderDisconnectedOthersBitwiseUnaffected) {
 
   // Meanwhile a healthy tenant's managed study runs to completion with a
   // trajectory bitwise-identical to an in-process run.
-  TextClient healthy(connect_tcp(port));
-  ASSERT_TRUE(healthy.ok());
+  Client healthy;
+  ASSERT_TRUE(h.connect(healthy));
   const std::string create =
       "create-study s1 method=rs configs=8 seed=17 eval-clients=4 epsilon=25";
-  ASSERT_EQ(healthy.request(create).rfind("ok created", 0), 0);
+  ASSERT_EQ(request(healthy, create).rfind("ok created", 0), 0);
   const std::string got = drive_to_trace(
-      [&healthy](const std::string& v) { return healthy.request(v); }, "s1");
+      [&healthy](const std::string& v) { return request(healthy, v); }, "s1");
 
   const std::string want = direct_last_response(
       {create, "drive s1 5000", "trace s1"});
   ASSERT_EQ(want.rfind("ok n=", 0), 0) << want;
   EXPECT_EQ(got, want);
-  ::close(slow_fd);
 }
 
 TEST_F(NetFixture, KillResumeOverTcpBitwiseIdentical) {
@@ -901,27 +725,25 @@ TEST_F(NetFixture, KillResumeOverTcpBitwiseIdentical) {
     const std::string dir = fresh_dir();
     {
       ServerHarness h(manager_options(dir), pool_, ServerOptions{});
-      const std::uint16_t port = h.listen();
-      ASSERT_NE(port, 0);
+      ASSERT_NE(h.listen(), 0);
       h.start();
-      TextClient c(connect_tcp(port));
-      ASSERT_TRUE(c.ok());
-      ASSERT_EQ(c.request(create).rfind("ok created", 0), 0);
-      ASSERT_EQ(c.request("drive k1 " + std::to_string(kill_after))
+      Client c;
+      ASSERT_TRUE(h.connect(c));
+      ASSERT_EQ(request(c, create).rfind("ok created", 0), 0);
+      ASSERT_EQ(request(c, "drive k1 " + std::to_string(kill_after))
                     .rfind("ok ran=", 0),
                 0);
     }  // server + manager destroyed with the study mid-flight
     {
       ServerHarness h(manager_options(dir), pool_, ServerOptions{});
-      const std::uint16_t port = h.listen();
-      ASSERT_NE(port, 0);
+      ASSERT_NE(h.listen(), 0);
       h.start();
-      TextClient c(connect_tcp(port));
-      ASSERT_TRUE(c.ok());
-      ASSERT_EQ(c.request("resume k1").rfind("ok resumed", 0), 0)
+      Client c;
+      ASSERT_TRUE(h.connect(c));
+      ASSERT_EQ(request(c, "resume k1").rfind("ok resumed", 0), 0)
           << "kill_after=" << kill_after;
       const std::string got = drive_to_trace(
-          [&c](const std::string& v) { return c.request(v); }, "k1");
+          [&c](const std::string& v) { return request(c, v); }, "k1");
       EXPECT_EQ(got, want) << "kill_after=" << kill_after;
     }
   }

@@ -614,6 +614,41 @@ TEST_F(ServiceFixture, ResumeAllFindsEveryJournal) {
   EXPECT_EQ(mgr.resume_all(), 0u);  // idempotent
 }
 
+// A restarted daemon with more journals than slots: finished studies that
+// sort first must not crowd out the ones that still have work.
+TEST_F(ServiceFixture, ResumeAllPrefersUnfinishedStudies) {
+  const std::string dir = fresh_dir();
+  {
+    StudyManager mgr(manager_options(dir));
+    mgr.register_pool("p", pool_);
+    for (const char* name : {"a0", "a1", "a2"}) {
+      StudySession& s =
+          mgr.create_study(managed_spec(name, StudyMethod::kRandomSearch, 2));
+      while (s.run_one_step()) {
+      }
+      ASSERT_TRUE(s.finished()) << name;
+    }
+    for (const char* name : {"z0", "z1"}) {
+      mgr.create_study(managed_spec(name, StudyMethod::kRandomSearch, 4))
+          .run_one_step();
+    }
+  }
+  ManagerOptions opts = manager_options(dir);
+  opts.max_studies = 2;
+  StudyManager full(opts);
+  full.register_pool("p", pool_);
+  EXPECT_EQ(full.resume_all(), 2u);
+  EXPECT_EQ(full.list(), (std::vector<std::string>{"z0", "z1"}));
+
+  // Slots left after the unfinished studies go to finished ones, in order.
+  opts.max_studies = 4;
+  StudyManager roomy(opts);
+  roomy.register_pool("p", pool_);
+  EXPECT_EQ(roomy.resume_all(), 4u);
+  EXPECT_EQ(roomy.list(),
+            (std::vector<std::string>{"a0", "a1", "z0", "z1"}));
+}
+
 // ------------------------------------------------------- external studies
 
 TEST_F(ServiceFixture, ExternalStudyAskTellAndResume) {

@@ -2,11 +2,11 @@
 // request over a Unix socket or TCP and prints the response.
 //
 //   fedtune_ctl --socket PATH [--timeout SEC] VERB [ARGS...]
-//   fedtune_ctl --tcp HOST:PORT [--binary] [--tenant N] [--token T]
+//   fedtune_ctl --tcp HOST:PORT [--tenant N] [--token T]
 //               [--timeout SEC] VERB [ARGS...]
 //       e.g.  fedtune_ctl --socket /tmp/studyd.sock create-study s1
 //                 method=rs configs=24 seed=7
-//             fedtune_ctl --tcp 127.0.0.1:7447 --binary --tenant 3
+//             fedtune_ctl --tcp 127.0.0.1:7447 --tenant 3
 //                 --token s3cret status s1
 //             fedtune_ctl --socket /tmp/studyd.sock cache-stats
 //       (cache-stats reports the shared evaluation caches per pool:
@@ -15,14 +15,12 @@
 //       polls `status NAME` until the study reports state=finished (exit 0)
 //       or the timeout expires (exit 1) — the CI smoke test's join point.
 //
-// Transport: --socket speaks the newline-delimited text protocol (byte
-// compatible with the PR 4 daemon). --tcp defaults to the same text shim;
-// --binary switches to the length-prefixed frame protocol (src/net/frame.hpp)
-// — the request verb maps to its opcode, the args to the payload, and
-// responses come back as kOk/kErr frames which this client prints in the
-// familiar `ok ...` / `err ...` form, so scripts see identical output on
-// every transport. With --token (or a daemon running --auth-file) the
-// client sends a `hello` first; --tenant sets the tenant id (default 0).
+// Transport: both --socket and --tcp speak the length-prefixed frame
+// protocol (src/net/frame.hpp) through net::Client — the request verb maps
+// to its opcode, the args to the payload, and the kOk/kErr answer prints as
+// `ok ...` / `err ...`, so scripts see identical output on every
+// transport. With --token (needed when the daemon runs --auth-file) the
+// client sends a kHello first; --tenant sets the tenant id (default 0).
 //
 // Connection failures retry with jittered exponential backoff until the
 // --timeout deadline (default 5 s) — a daemon that is restarting (e.g.
@@ -32,26 +30,20 @@
 // hammering a freshly bound socket.
 //
 // Responses are one line except `metrics`, which answers `ok lines=N`
-// followed by N raw Prometheus exposition lines; the client prints all of
-// them (in binary mode the whole body arrives inside one frame).
+// followed by N raw Prometheus exposition lines, all inside one frame.
 //
 // Exit codes (distinct, for scripting):
 //   0  the daemon answered `ok ...` (or the wait succeeded)
-//   1  the daemon answered `err ...`, or a wait timed out
+//   1  the daemon answered `err ...` (or non-frame bytes), or a wait timed
+//      out
 //   2  usage error (bad flags/arguments)
 //   3  connection failure past the --timeout deadline (daemon unreachable)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <random>
@@ -62,20 +54,14 @@
 #include "flag_parse.hpp"
 
 #include "cluster/placement.hpp"
-#include "net/frame.hpp"
+#include "net/client.hpp"
 
 namespace {
-
-using fedtune::net::DecodeResult;
-using fedtune::net::DecodeStatus;
-using fedtune::net::Frame;
-using fedtune::net::Opcode;
 
 struct Endpoint {
   std::string unix_path;  // non-empty → Unix transport
   std::string tcp_host;   // non-empty → TCP transport
   std::uint16_t tcp_port = 0;
-  bool binary = false;
   std::uint64_t tenant = 0;
   std::string token;
 
@@ -94,211 +80,23 @@ bool study_scoped_verb(const std::string& verb) {
          verb == "promote";
 }
 
-int connect_to(const Endpoint& ep) {
-  if (!ep.unix_path.empty()) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (ep.unix_path.size() >= sizeof(addr.sun_path)) {
-      ::close(fd);
-      return -1;
-    }
-    std::strncpy(addr.sun_path, ep.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.tcp_port);
-  if (::inet_pton(AF_INET, ep.tcp_host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// Reads one kOk/kErr frame off `fd` (appending to `in`); nullopt on
-// connection or protocol failure.
-std::optional<std::string> read_response_frame(int fd, std::string& in) {
-  char buf[4096];
-  for (;;) {
-    const DecodeResult r = fedtune::net::decode_frame(in);
-    if (r.status == DecodeStatus::kBad) return std::nullopt;
-    if (r.status == DecodeStatus::kFrame) {
-      in.erase(0, r.consumed);
-      const Frame& f = r.frame;
-      if (f.opcode == Opcode::kOk) return "ok " + f.payload;
-      if (f.opcode == Opcode::kErr) return "err " + f.payload;
-      return std::nullopt;  // unexpected opcode from the daemon
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    in.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-std::optional<std::string> roundtrip_binary(const Endpoint& ep,
-                                            const std::string& line) {
-  const int fd = connect_to(ep);
-  if (fd < 0) return std::nullopt;
-  std::string in;
-  if (!ep.token.empty()) {
-    Frame hello;
-    hello.opcode = Opcode::kHello;
-    hello.tenant = ep.tenant;
-    hello.payload = ep.token;
-    if (!send_all(fd, fedtune::net::encode_frame(hello))) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    const auto ack = read_response_frame(fd, in);
-    if (!ack.has_value() || ack->rfind("ok", 0) != 0) {
-      ::close(fd);
-      return ack;  // auth err passes through; nullopt stays nullopt
-    }
-  }
-  const std::size_t sp = line.find(' ');
-  const std::string verb = line.substr(0, sp);
-  const auto opcode = fedtune::net::opcode_for_verb(verb);
-  if (!opcode.has_value()) {
-    ::close(fd);
-    // Let the daemon produce the canonical error text? It can't — there is
-    // no opcode to carry the verb. Mirror the daemon's wording locally.
-    return "err unknown verb '" + verb + "'";
-  }
-  Frame req;
-  req.opcode = *opcode;
-  req.tenant = ep.tenant;
-  if (sp != std::string::npos) req.payload = line.substr(sp + 1);
-  if (!send_all(fd, fedtune::net::encode_frame(req))) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  auto response = read_response_frame(fd, in);
-  ::close(fd);
-  if (response.has_value()) {
-    // Normalize "ok " / "err " with empty payload to bare "ok" / "err".
-    while (!response->empty() && response->back() == ' ') response->pop_back();
-  }
-  return response;
-}
-
-// One request/response round trip in text mode; returns the full response
-// (without the trailing newline — possibly multi-line for `metrics`) or
-// nullopt on connection failure.
-std::optional<std::string> roundtrip_text(const Endpoint& ep,
-                                          const std::string& line) {
-  const int fd = connect_to(ep);
-  if (fd < 0) return std::nullopt;
-  std::string preamble;
-  if (!ep.token.empty()) {
-    preamble = "hello " + std::to_string(ep.tenant) + " " + ep.token + "\n";
-  }
-  if (!send_all(fd, preamble + line + "\n")) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  // With a hello preamble the first response line is its ack; a failed
-  // hello ("err ...") is returned as the final answer.
-  std::size_t skip_lines = preamble.empty() ? 0 : 1;
-  std::string response;
-  char buf[4096];
-  auto read_more = [&]() -> bool {
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      response.append(buf, static_cast<std::size_t>(n));
-      return true;
-    }
-  };
-  while (std::count(response.begin(), response.end(), '\n') <
-         static_cast<long>(skip_lines + 1)) {
-    if (!read_more()) break;
-  }
-  while (skip_lines > 0) {
-    const std::size_t nl = response.find('\n');
-    if (nl == std::string::npos) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    const std::string ack = response.substr(0, nl);
-    if (ack.rfind("ok", 0) != 0) {
-      ::close(fd);
-      return ack;  // hello rejected: surface the daemon's error
-    }
-    response.erase(0, nl + 1);
-    --skip_lines;
-  }
-  std::size_t nl;
-  while ((nl = response.find('\n')) == std::string::npos) {
-    if (!read_more()) break;
-  }
-  nl = response.find('\n');
-  if (nl == std::string::npos) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  // Multi-line answer: keep reading until the announced body has arrived.
-  // The count is parsed strictly — a daemon (or an impostor on the port)
-  // announcing `ok lines=banana` or a 40-digit count is a protocol error
-  // surfaced as `err ...` (exit 1), never an abort or a silent mis-framing.
-  const std::string header = response.substr(0, nl);
-  std::size_t body_lines = 0;
-  if (header.rfind("ok lines=", 0) == 0) {
-    const auto n = fedtune::net::parse_ok_lines_header(header);
-    if (!n.has_value()) {
-      ::close(fd);
-      return "err malformed response header '" + header + "'";
-    }
-    body_lines = *n;
-  }
-  std::size_t have =
-      static_cast<std::size_t>(std::count(response.begin(), response.end(),
-                                          '\n'));
-  while (have < body_lines + 1) {
-    if (!read_more()) break;
-    have = static_cast<std::size_t>(std::count(response.begin(),
-                                               response.end(), '\n'));
-  }
-  ::close(fd);
-  if (body_lines > 0) {
-    // Return header + body; trim one trailing newline if present.
-    if (!response.empty() && response.back() == '\n') response.pop_back();
-    return response;
-  }
-  return response.substr(0, nl);
-}
-
+// One connection, an optional kHello, one request "VERB ARGS..."; nullopt
+// when the daemon could not be reached. A refused hello is the answer.
 std::optional<std::string> roundtrip(const Endpoint& ep,
                                      const std::string& line) {
-  return ep.binary ? roundtrip_binary(ep, line) : roundtrip_text(ep, line);
+  fedtune::net::Client client;
+  const bool up = ep.unix_path.empty()
+                      ? client.connect_tcp(ep.tcp_host, ep.tcp_port)
+                      : client.connect_unix(ep.unix_path);
+  if (!up) return std::nullopt;
+  client.set_tenant(ep.tenant);
+  if (!ep.token.empty()) {
+    const auto ack = client.hello(ep.tenant, ep.token);
+    if (!ack.has_value() || ack->rfind("ok", 0) != 0) return ack;
+  }
+  const std::size_t sp = line.find(' ');
+  return client.request(line.substr(0, sp),
+                        sp == std::string::npos ? "" : line.substr(sp + 1));
 }
 
 // roundtrip() with jittered exponential-backoff retries on connection
@@ -444,8 +242,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       ep.tcp_port = static_cast<std::uint16_t>(port);
-    } else if (a == "--binary") {
-      ep.binary = true;
     } else if (a == "--cluster") {
       cluster_file = next();
     } else if (a == "--tenant") {
@@ -458,23 +254,21 @@ int main(int argc, char** argv) {
       std::cout
           << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT | "
              "--cluster FILE)\n"
-             "                   [--binary] [--tenant N] [--token T]\n"
+             "                   [--tenant N] [--token T]\n"
              "                   [--timeout SEC] VERB [ARGS...]\n"
              "       fedtune_ctl (--socket PATH | --tcp HOST:PORT) wait "
              "NAME TIMEOUT_SEC\n"
              "\n"
              "transport:\n"
-             "  --socket PATH             Unix socket, text protocol\n"
-             "  --tcp HOST:PORT           TCP; text protocol unless "
-             "--binary\n"
+             "  --socket PATH             Unix socket\n"
+             "  --tcp HOST:PORT           TCP\n"
              "  --cluster FILE            roster file (ID HOST:PORT lines); "
              "study\n"
              "                            verbs route to the study's primary "
              "and\n"
              "                            fail over to its follower\n"
-             "  --binary                  length-prefixed frame protocol\n"
              "  --tenant N --token T      authenticate as tenant N (sends "
-             "hello)\n"
+             "kHello)\n"
              "\n"
              "daemon verbs (forwarded over the socket):\n"
              "  ping                      liveness check\n"
@@ -523,6 +317,9 @@ int main(int argc, char** argv) {
              "exit codes: 0 ok, 1 daemon err/wait timeout, 2 usage,\n"
              "            3 connect failure past --timeout\n";
       return 0;
+    } else if (a.rfind("--", 0) == 0) {
+      std::cerr << "error: unknown flag '" << a << "'\n";
+      return 2;
     } else {
       words.push_back(a);
     }
@@ -532,17 +329,13 @@ int main(int argc, char** argv) {
                     (!cluster_file.empty() ? 1 : 0);
   if (given == 0 || words.empty()) {
     std::cerr << "usage: fedtune_ctl (--socket PATH | --tcp HOST:PORT | "
-                 "--cluster FILE) [--binary] [--tenant N] [--token T] "
+                 "--cluster FILE) [--tenant N] [--token T] "
                  "[--timeout SEC] VERB [ARGS...]\n";
     return 2;
   }
   if (given > 1) {
     std::cerr
         << "error: pass exactly one of --socket / --tcp / --cluster\n";
-    return 2;
-  }
-  if (ep.binary && ep.tcp_host.empty() && cluster_file.empty()) {
-    std::cerr << "error: --binary needs --tcp\n";
     return 2;
   }
 

@@ -4,8 +4,8 @@
 // reports throughput plus ask→tell latency percentiles as bench JSON.
 //
 //   fedtune_loadgen (--tcp HOST:PORT | --socket PATH) [--tenants N]
-//                   [--studies M] [--trials T] [--mode text|binary]
-//                   [--token TOK] [--timeout SEC] [--json PATH]
+//                   [--studies M] [--trials T] [--token TOK]
+//                   [--timeout SEC] [--json PATH]
 //
 // Each tenant is one connection driven by a non-blocking state machine on
 // the shared epoll loop — 1000 tenants is 1000 sockets, not 1000 threads.
@@ -18,10 +18,11 @@
 //
 // One ask→tell sample is the full control-plane cycle: send `ask`, receive
 // the trial, send `tell`, receive the commit ack — the latency a real
-// external tuner loop would observe per trial. --mode picks the wire
-// protocol (binary frames by default; text exercises the compat shim).
-// With --token, every tenant opens with `hello <tenant> <token>` (pair it
-// with a daemon --auth-file listing tenants 1..N).
+// external tuner loop would observe per trial. Requests are frames
+// (net/frame.hpp) written by hand, not through the blocking net::Client,
+// because every tenant shares one non-blocking event loop. With --token,
+// every tenant opens with a kHello frame (pair it with a daemon
+// --auth-file listing tenants 1..N).
 //
 // Output (stdout or --json): tenants/studies/trials, completed_studies,
 // failed_requests, dropped_connections, frames sent/received, elapsed,
@@ -46,7 +47,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,7 +74,6 @@ struct Options {
   std::size_t tenants = 8;
   std::size_t studies = 1;   // per tenant, sequential
   std::size_t trials = 4;    // ask/tell rounds per study
-  bool binary = true;
   std::string token;
   double timeout_s = 120.0;
   std::string json_path;  // empty = stdout
@@ -278,12 +277,8 @@ class LoadGen {
       loop_.modify(c.fd, EPOLLIN);
       if (!opts_.token.empty()) {
         c.state = State::kHello;
-        // Binary hello carries only the token (tenant rides in the frame
-        // header); the text form spells both out.
-        send_request(c, "hello",
-                     opts_.binary
-                         ? opts_.token
-                         : std::to_string(c.tenant) + " " + opts_.token);
+        // The token is the payload; the tenant rides in the frame header.
+        send_request(c, "hello", opts_.token);
       } else if (c.failover_pending) {
         begin_probe(c);
       } else {
@@ -316,26 +311,17 @@ class LoadGen {
   // Parses every complete response in c.in; false if the client was closed.
   bool drain_responses(Client& c) {
     for (;;) {
-      std::string response;
-      if (opts_.binary) {
-        const net::DecodeResult r = net::decode_frame(c.in);
-        if (r.status == net::DecodeStatus::kNeedMore) return true;
-        if (r.status == net::DecodeStatus::kBad) {
-          fail(c, "bad frame from daemon");
-          return false;
-        }
-        c.in.erase(0, r.consumed);
-        const char* prefix =
-            r.frame.opcode == net::Opcode::kOk ? "ok" : "err";
-        response = r.frame.payload.empty()
-                       ? std::string(prefix)
-                       : std::string(prefix) + " " + r.frame.payload;
-      } else {
-        const std::size_t nl = c.in.find('\n');
-        if (nl == std::string::npos) return true;
-        response = c.in.substr(0, nl);
-        c.in.erase(0, nl + 1);
+      const net::DecodeResult r = net::decode_frame(c.in);
+      if (r.status == net::DecodeStatus::kNeedMore) return true;
+      if (r.status == net::DecodeStatus::kBad) {
+        fail(c, "bad frame from daemon");
+        return false;
       }
+      c.in.erase(0, r.consumed);
+      const char* prefix = r.frame.opcode == net::Opcode::kOk ? "ok" : "err";
+      const std::string response =
+          r.frame.payload.empty() ? std::string(prefix)
+                                  : std::string(prefix) + " " + r.frame.payload;
       ++stats_.frames_received;
       if (!on_response(c, response)) return false;
     }
@@ -484,15 +470,11 @@ class LoadGen {
   void send_request(Client& c, const std::string& verb,
                     const std::string& args) {
     ++stats_.frames_sent;
-    if (opts_.binary) {
-      net::Frame f;
-      f.opcode = *net::opcode_for_verb(verb);
-      f.tenant = c.tenant;
-      f.payload = args;
-      c.out += net::encode_frame(f);
-    } else {
-      c.out += args.empty() ? verb + "\n" : verb + " " + args + "\n";
-    }
+    net::Frame f;
+    f.opcode = *net::opcode_for_verb(verb);
+    f.tenant = c.tenant;
+    f.payload = args;
+    c.out += net::encode_frame(f);
     flush(c);
   }
 
@@ -591,7 +573,6 @@ class LoadGen {
     js << "{\n"
        << "  \"transport\": \""
        << (opts_.unix_path.empty() ? "tcp" : "unix") << "\",\n"
-       << "  \"mode\": \"" << (opts_.binary ? "binary" : "text") << "\",\n"
        << "  \"tenants\": " << opts_.tenants << ",\n"
        << "  \"studies_per_tenant\": " << opts_.studies << ",\n"
        << "  \"trials_per_study\": " << opts_.trials << ",\n"
@@ -637,7 +618,7 @@ int usage(int rc) {
                "                       [--failover HOST:PORT]\n"
                "                       [--tenants N] [--studies M] "
                "[--trials T]\n"
-               "                       [--mode text|binary] [--token TOK]\n"
+               "                       [--token TOK]\n"
                "                       [--prefix P] [--timeout SEC] "
                "[--json PATH]\n";
   return rc;
@@ -697,16 +678,6 @@ int main(int argc, char** argv) {
       opts.studies = tools::parse_size_flag(a, next());
     } else if (a == "--trials") {
       opts.trials = tools::parse_size_flag(a, next());
-    } else if (a == "--mode") {
-      const std::string m = next();
-      if (m == "text") {
-        opts.binary = false;
-      } else if (m == "binary") {
-        opts.binary = true;
-      } else {
-        std::cerr << "error: --mode must be text|binary\n";
-        return 2;
-      }
     } else if (a == "--token") {
       opts.token = next();
     } else if (a == "--prefix") {
@@ -715,8 +686,11 @@ int main(int argc, char** argv) {
       opts.timeout_s = tools::parse_double_flag(a, next());
     } else if (a == "--json") {
       opts.json_path = next();
+    } else if (a == "--help" || a == "-h") {
+      return usage(0);
     } else {
-      return usage(a == "--help" || a == "-h" ? 0 : 2);
+      std::cerr << "error: unknown argument '" << a << "'\n";
+      return usage(2);
     }
   }
   if (opts.tcp_host.empty() == opts.unix_path.empty()) {
