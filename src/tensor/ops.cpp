@@ -1,8 +1,10 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <utility>
 #include <vector>
 
 namespace fedtune::ops {
@@ -10,22 +12,40 @@ namespace fedtune::ops {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM kernels.
+// GEMM kernels.
 //
-// All three layout variants funnel into one register-blocked, cache-tiled
-// kernel that computes C += A @ B with A (m,k) and B (k,n) row-major. The
-// transposed variants (nt/tn) first pack the transposed operand into a
-// thread-local scratch panel so the hot loop always streams contiguously.
+// Every call with n <= kMaxRegN (all MLP and TextMlp layers) runs a
+// register kernel: its width N is a template parameter, it keeps a block of
+// whole rows of C in registers across all of k, and it reads A and B in
+// place (nt transposes the leading n - n % kNr rows of B once per call).
+// Wider calls (the LSTM gates, and tests) run gemm_tiled: cache-tiled 6x16
+// and 4x16 micro-kernels over packed B panels, with a row-streaming edge
+// path for the last m % 6 < 4 rows and the n % 16 column tail.
 //
-// The micro-kernel computes a kMr x kNr block of C held entirely in
-// registers: each loaded B vector is reused kMr times, which is what buys
-// the throughput over the naive row-streaming loop (the retained
-// *_naive_raw kernels below).
+// The register kernels compute each element of C exactly as gemm_tiled and
+// the packed nt path do, so results do not depend on which kernel ran:
+//   - sum form, rows [0, sum_rows(m)) x cols [0, n - n % kNr): an
+//     accumulator starts at 0 for every kKc-wide k-tile and is then added
+//     to c (for tn only when m >= 2*kMr and n >= kNr);
+//   - chain form, every other element: each product is added straight into
+//     c, in k order across tiles;
+//   - nt's other rows and columns are nt_dot_range dot products.
+// With accumulate = false a chain element is stored as 0 + acc, like a
+// sum-form one, so an element never comes out -0 in one path and +0 in
+// the other.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kMr = 6;    // C rows per register block
 constexpr std::size_t kNr = 16;   // C cols per register block
 constexpr std::size_t kKc = 256;  // k-tile: keeps the B panel slice in cache
+constexpr std::size_t kMaxRegN = 32;  // widest C the register kernels hold
+
+// Rows [0, sum_rows(m)) are the ones gemm_tiled covers with 6-row blocks
+// and one 4-row block; the rest take its edge path.
+constexpr std::size_t sum_rows(std::size_t m) {
+  const std::size_t m_main = m - m % kMr;
+  return m - m_main >= 4 ? m_main + 4 : m_main;
+}
 
 // Per-thread packing scratch, reused across calls so steady-state training
 // does no allocation here: tl_pack holds the transposed operand of the
@@ -123,7 +143,7 @@ void gemm_tiled(const float* __restrict a, std::size_t lda,
   // Rows [0, m_main) in 6-row blocks, then a 4-row block if >= 4 rows
   // remain; only the final 0-3 rows (and the n % kNr column tail) take the
   // row-streaming edge path.
-  const std::size_t m_tail4 = (m - m_main >= 4) ? m_main + 4 : m_main;
+  const std::size_t m_tail4 = sum_rows(m);
   for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
     const std::size_t p1 = std::min(k, p0 + kKc);
     for (std::size_t i = 0; i < m_tail4; i += (i < m_main ? kMr : 4)) {
@@ -166,12 +186,118 @@ void pack_transposed(const float* __restrict src, std::size_t rows,
   }
 }
 
+// Rows [i, i + R) of C (ldc) (+)= A @ B over all of k, for a C exactly N
+// columns wide: A element (r, p) is a[r * ars + p * aks] (a row-major A
+// and a transposed one alike), B row p is b + p * ldb. Columns [0, S) take
+// the sum form, [S, N) the chain form. Everything is a compile-time
+// constant but the strides and k, so the loops over r and t unroll and acc
+// stays in registers.
+template <std::size_t R, std::size_t N, std::size_t S>
+inline void reg_block(const float* __restrict a, std::size_t ars,
+                      std::size_t aks, const float* __restrict b,
+                      std::size_t ldb, float* __restrict c, std::size_t ldc,
+                      std::size_t k, bool accumulate) {
+  float acc[R][N];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t t = 0; t < N; ++t) {
+      acc[r][t] = (t < S || !accumulate) ? 0.0f : c[r * ldc + t];
+    }
+  }
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t p1 = std::min(k, p0 + kKc);
+    for (std::size_t p = p0; p < p1; ++p) {
+      // Opaque to the vectorizer: for narrow N, GCC would otherwise
+      // vectorize this k loop as in-order reductions, which multiply and
+      // add separately; every other path contracts acc += a * b to an FMA.
+      __asm__ volatile("");
+      const float* __restrict brow = b + p * ldb;
+      for (std::size_t r = 0; r < R; ++r) {
+        const float av = a[r * ars + p * aks];
+#pragma omp simd
+        for (std::size_t t = 0; t < N; ++t) acc[r][t] += av * brow[t];
+      }
+    }
+    const bool fresh = p0 == 0 && !accumulate;
+    for (std::size_t r = 0; r < R; ++r) {
+      float* __restrict crow = c + r * ldc;
+      for (std::size_t t = 0; t < S; ++t) {
+        crow[t] = (fresh ? 0.0f : crow[t]) + acc[r][t];
+        acc[r][t] = 0.0f;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* __restrict crow = c + r * ldc;
+    for (std::size_t t = S; t < N; ++t) {
+      crow[t] = accumulate ? acc[r][t] : 0.0f + acc[r][t];
+    }
+  }
+}
+
+// Rows per register block: as many as keep acc within about 24 8-float
+// vector registers.
+constexpr std::size_t reg_rows(std::size_t n) {
+  return std::min<std::size_t>(8, std::max<std::size_t>(1, 24 / ((n + 7) / 8)));
+}
+
+// C (m,N) (+)= A (m,k) @ B (k,N) (A addressed as in reg_block) for k >= 1.
+// Rows [0, sum) take the sum form on their first N - N % kNr columns.
+template <std::size_t N>
+void reg_gemm(const float* a, std::size_t ars, std::size_t aks, const float* b,
+              std::size_t ldb, float* c, std::size_t ldc, std::size_t m,
+              std::size_t k, std::size_t sum, bool accumulate) {
+  constexpr std::size_t R = reg_rows(N);
+  constexpr std::size_t S = N - N % kNr;
+  std::size_t i = 0;
+  for (; i + R <= sum; i += R) {
+    reg_block<R, N, S>(a + i * ars, ars, aks, b, ldb, c + i * ldc, ldc, k,
+                       accumulate);
+  }
+  for (; i < sum; ++i) {
+    reg_block<1, N, S>(a + i * ars, ars, aks, b, ldb, c + i * ldc, ldc, k,
+                       accumulate);
+  }
+  for (; i + R <= m; i += R) {
+    reg_block<R, N, 0>(a + i * ars, ars, aks, b, ldb, c + i * ldc, ldc, k,
+                       accumulate);
+  }
+  for (; i < m; ++i) {
+    reg_block<1, N, 0>(a + i * ars, ars, aks, b, ldb, c + i * ldc, ldc, k,
+                       accumulate);
+  }
+}
+
+using RegGemm = void (*)(const float*, std::size_t, std::size_t, const float*,
+                         std::size_t, float*, std::size_t, std::size_t,
+                         std::size_t, std::size_t, bool);
+
+template <std::size_t... Is>
+constexpr std::array<RegGemm, sizeof...(Is)> make_reg_gemms(
+    std::index_sequence<Is...>) {
+  return {&reg_gemm<Is + 1>...};
+}
+
+// kRegGemm[n - 1] is reg_gemm<n>, for n = 1 .. kMaxRegN.
+constexpr auto kRegGemm = make_reg_gemms(std::make_index_sequence<kMaxRegN>{});
+
 void gemm_impl(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, bool accumulate) {
   if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
+    return;
+  }
+  if (n <= kMaxRegN) {
+    kRegGemm[n - 1](a, k, 1, b, n, c, n, m, k, sum_rows(m), accumulate);
+    return;
+  }
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
-  if (k == 0) return;
   gemm_tiled(a, k, b, n, c, n, m, k, n);
+  // The chain form can leave -0 where the sum form gives 0 + -0 = +0; this
+  // makes the sign of a zero independent of the row's path too.
+  if (!accumulate) {
+    for (std::size_t i = 0; i < m * n; ++i) c[i] = 0.0f + c[i];
+  }
 }
 
 // C[i0:i1, j0:j1] += A rows · B rows as direct dot products (both operands
@@ -201,37 +327,19 @@ void gemm_nt_impl(const float* a, const float* b, float* c, std::size_t m,
   if (k == 0) return;
   const std::size_t n_main = n - n % kNr;
   if (m >= 2 * kMr && n_main > 0) {
-    // Pack B^T straight into kNr-wide column panels (single O(kn) pass —
-    // no intermediate row-major transpose): panel q, row p, lane t holds
-    // B[q*kNr + t][p]. Amortized over the O(mkn) multiply.
+    // The sum-form block: rows [0, m_tail4) x cols [0, n_main) against the
+    // transpose of B's leading n_main rows, (k, n_main) row-major.
+    const std::size_t m_tail4 = sum_rows(m);
     if (tl_pack.size() < k * n_main) tl_pack.resize(k * n_main);
-    for (std::size_t q = 0; q < n_main / kNr; ++q) {
-      float* __restrict panel = tl_pack.data() + q * k * kNr;
-      const float* __restrict src = b + q * kNr * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t t = 0; t < kNr; ++t) {
-          panel[p * kNr + t] = src[t * k + p];
-        }
-      }
-    }
-    const std::size_t m_main = m - m % kMr;
-    const std::size_t m_tail4 = (m - m_main >= 4) ? m_main + 4 : m_main;
-    for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::size_t p1 = std::min(k, p0 + kKc);
-      for (std::size_t i = 0; i < m_tail4; i += (i < m_main ? kMr : 4)) {
-        const bool full = i < m_main;
-        for (std::size_t j = 0; j < n_main; j += kNr) {
-          const float* panel = tl_pack.data() + (j / kNr) * k * kNr;
-          if (full) {
-            micro_kernel<kMr>(a, k, panel, kNr, 0, c, n, i, j, p0, p1);
-          } else {
-            micro_kernel<4>(a, k, panel, kNr, 0, c, n, i, j, p0, p1);
-          }
-        }
-      }
+    pack_transposed(b, n_main, k, tl_pack.data());
+    if (n_main <= kMaxRegN) {
+      kRegGemm[n_main - 1](a, k, 1, tl_pack.data(), n_main, c, n, m_tail4, k,
+                           m_tail4, /*accumulate=*/true);
+    } else {
+      gemm_tiled(a, k, tl_pack.data(), n_main, c, n, m_tail4, k, n_main);
     }
     // Remainders straight off the original B: the nt layout makes them
-    // contiguous dot products, so no row-major B^T is ever materialized.
+    // contiguous dot products.
     nt_dot_range(a, b, c, k, n, 0, m_tail4, n_main, n);
     nt_dot_range(a, b, c, k, n, m_tail4, m, 0, n);
     return;
@@ -243,9 +351,19 @@ void gemm_nt_impl(const float* a, const float* b, float* c, std::size_t m,
 void gemm_tn_impl(const float* a, const float* b, float* c, std::size_t k,
                   std::size_t m, std::size_t n, bool accumulate) {
   if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
+    return;
+  }
+  const bool blocked = m >= 2 * kMr && n >= kNr;
+  if (n <= kMaxRegN) {
+    // A^T row i is column i of A: element (i, p) at a[p * m + i].
+    kRegGemm[n - 1](a, 1, m, b, n, c, n, m, k, blocked ? sum_rows(m) : 0,
+                    accumulate);
+    return;
+  }
   if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
-  if (k == 0) return;
-  if (m >= 2 * kMr && n >= kNr) {
+  if (blocked) {
     // Pack A^T (k,m -> m,k) so the main kernel streams A rows contiguously.
     if (tl_pack.size() < k * m) tl_pack.resize(k * m);
     pack_transposed(a, k, m, tl_pack.data());
@@ -268,9 +386,8 @@ void gemm_tn_impl(const float* a, const float* b, float* c, std::size_t k,
 }  // namespace
 
 // ------------------------------------------------------ reference kernels --
-// The original scalar loops, retained verbatim as the correctness reference
-// for the blocked kernels and as the "before" side of the substrate
-// microbenchmark. Not used on any hot path.
+// Plain scalar loops: the tests' correctness reference for the kernels
+// above. Not used on any hot path.
 
 void gemm_naive_raw(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, bool accumulate) {
@@ -499,24 +616,7 @@ void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) 
   for (std::size_t i = 0; i < n; ++i) gi[i] = go[i] * yp[i] * (1.0f - yp[i]);
 }
 
-void softmax_rows(const Matrix& logits, Matrix& probs) {
-  probs.ensure_shape(logits.rows(), logits.cols());
-  const std::size_t n = logits.cols();
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const float* in = logits.data() + r * n;
-    float* out = probs.data() + r * n;
-    float mx = -std::numeric_limits<float>::infinity();
-    for (std::size_t c = 0; c < n; ++c) mx = std::max(mx, in[c]);
-    float total = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) {
-      out[c] = std::exp(in[c] - mx);
-      total += out[c];
-    }
-    const float inv = 1.0f / total;
-#pragma omp simd
-    for (std::size_t c = 0; c < n; ++c) out[c] *= inv;
-  }
-}
+// softmax_rows lives in exp_exact.cpp with its exp.
 
 double softmax_cross_entropy(const Matrix& logits,
                              std::span<const std::int32_t> labels,

@@ -28,13 +28,14 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& out);
 //
 // Row independence: with accumulate=false and k <= 256 (one k-tile, kKc in
 // ops.cpp), row r of gemm_raw's output is bitwise a function of row r of a
-// alone, for any m: the 6-row and 4-row micro-kernels and the edge-row path
-// all sum k in order from zero. nn::TextMlp relies on it: training and
-// evaluation run the forward pass once per distinct context, not once per
-// position. Above one k-tile, edge rows accumulate straight into c while
-// the micro-kernel sums per tile, so rows can differ; no shipped layer has
-// k > 32. gemm_nt_raw only keeps row r independent of the other rows of a
-// for a fixed m: at m >= 12 its micro-kernel sums k in order while the
+// alone, for any m, signs of zero included: every row path sums k in order
+// from zero and stores 0 + that sum, so a zero result is +0 on every path.
+// nn::TextMlp relies on it: training and evaluation run the forward pass
+// once per distinct context, not once per position. Above one k-tile, the
+// first sum_rows(m) rows (ops.cpp) add each tile's sum to c while the
+// others accumulate straight into c, so rows can differ; no shipped layer
+// has k > 32. gemm_nt_raw only keeps row r independent of the other rows of
+// a for a fixed m: at m >= 12 its blocked path sums k in order while the
 // dot-product path (fewer rows, the last m % 6 < 4 rows, the n % 16 tail)
 // uses a SIMD reduction.
 // c[m,n] (+)= a[m,k] @ b[k,n]
@@ -47,9 +48,8 @@ void gemm_nt_raw(const float* a, const float* b, float* c, std::size_t m,
 void gemm_tn_raw(const float* a, const float* b, float* c, std::size_t k,
                  std::size_t m, std::size_t n, bool accumulate);
 
-// Reference (pre-blocking) scalar kernels. Retained for correctness tests of
-// the blocked kernels and as the "before" baseline in the substrate
-// microbenchmark — never called on a hot path.
+// Reference scalar kernels (plain loops in textbook order), used by the
+// tests of the kernels above; never called on a hot path.
 void gemm_naive_raw(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n, bool accumulate);
 void gemm_nt_naive_raw(const float* a, const float* b, float* c, std::size_t m,
@@ -86,8 +86,15 @@ void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 void sigmoid(const Matrix& x, Matrix& y);
 void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 
+// y[i] = exp(x[i]); x and y must not overlap. A vectorized port of glibc
+// 2.36's expf (exp_exact.cpp, compiled with the default FP contraction):
+// bitwise std::exp on glibc hosts whose libm uses that code, with inputs
+// off its main path (|x| >= 88, NaN) computed by std::exp itself.
+void exp_forward(std::span<const float> x, std::span<float> y);
+
 // Row-wise softmax (numerically stabilized); each output row depends only
-// on its own logits row.
+// on its own logits row. exp(x - max) is exp_forward's port, and the row sum
+// is added strictly left to right.
 void softmax_rows(const Matrix& logits, Matrix& probs);
 
 // Mean cross-entropy loss over the batch given integer labels; also emits
