@@ -5,21 +5,22 @@
 // (cifar10<->femnist, stackoverflow<->reddit); weak across families.
 //
 // Warm-start arm (the operational version of the same question): phase A
-// tunes dataset A through CachingTuner in absorb mode over a
-// MemoryEvalStore (hpo/middleware.hpp), so every outcome lands in the
-// cache keyed by config fingerprint. The arm then compares, at equal
-// trial budget on dataset B:
+// tunes dataset A through the evaluation-cache path the service uses — a
+// core::TuningSession with pure per-eval streams and a MemoryEvalStore
+// installed via set_eval_cache, each miss committed after its step — so
+// every outcome lands in the store keyed by config fingerprint. The arm then
+// compares, at equal trial budget on dataset B:
 //   tune_b_cold       fresh random search on B, and
-//   tune_b_warmstart  evaluate the cache's best-on-A fingerprints first.
-// A second absorb-mode pass on A (new seed, same store) is also reported:
-// its surfaced/hit counts show the cache serving repeat asks without the
-// driver ever seeing them.
+//   tune_b_warmstart  evaluate the store's best-on-A fingerprints first.
+// A second pass on A (new seed, same store) is also reported: its
+// surfaced/hit counts show the store serving repeat asks without a live
+// evaluation.
 //
 // Modes:
 //   bench_fig10_transfer            full run on the shared PoolHub pools
 //   bench_fig10_transfer --smoke    synthetic correlated views only — no
-//       pool builds, a few seconds; the CI middleware job's check that the
-//       warm-start path stays wired end to end.
+//       pool builds, a few seconds; CI's check that the warm-start path
+//       stays wired end to end.
 #include <algorithm>
 #include <cstring>
 #include <limits>
@@ -31,7 +32,9 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/config_pool.hpp"
-#include "hpo/middleware.hpp"
+#include "core/eval_cache.hpp"
+#include "core/pool_runner.hpp"
+#include "core/tuning_driver.hpp"
 #include "hpo/search_space.hpp"
 #include "sim/experiments.hpp"
 #include "sim/method_runner.hpp"
@@ -47,21 +50,37 @@ double full_error_at(const core::PoolEvalView& view, const hpo::Trial& t) {
                          fl::Weighting::kByExampleCount);
 }
 
-// Drives `tuner` to completion against `view` (noiseless full errors — the
-// transfer question is about the surface, not the noise) and returns the
-// final best_trial()'s error, which covers absorbed cache hits too — the
-// driver loop itself never sees those.
-double drive(hpo::Tuner& tuner, const core::PoolEvalView& view,
-             std::size_t* surfaced) {
-  if (surfaced != nullptr) *surfaced = 0;
-  while (auto t = tuner.ask()) {
-    const double err = full_error_at(view, *t);
-    if (surfaced != nullptr) ++*surfaced;
-    tuner.tell(*t, err);
-  }
-  const auto best = tuner.best_trial();
-  return best.has_value() ? full_error_at(view, *best)
-                          : std::numeric_limits<double>::infinity();
+// One arm's outcome: live evaluations, cache hits, and the final
+// selection's noiseless full error.
+struct ArmResult {
+  std::size_t surfaced = 0;
+  std::size_t cache_hits = 0;
+  double err = std::numeric_limits<double>::infinity();
+};
+
+// Random search on `view` through the service's session path: a full,
+// noiseless evaluation (the transfer question is about the surface, not the
+// noise), the store consulted before every evaluation when given, and each
+// miss committed once its step completes.
+ArmResult tune_arm(const std::vector<hpo::Config>& configs,
+                   const core::PoolEvalView& view, std::size_t trials,
+                   std::uint64_t seed, core::EvalStore* store) {
+  // One constant namespace keeps both A passes sharing entries while the
+  // fidelity key still separates checkpoints.
+  constexpr std::uint64_t kSignature = 0xf16'10;
+  auto tuner = sim::make_pool_tuner(sim::Method::kRandomSearch, configs, view,
+                                    trials, Rng(seed));
+  core::PoolTrialRunner runner(view);
+  core::TuningSession session(*tuner, runner, core::DriverOptions{},
+                              /*pure_eval_streams=*/true);
+  if (store != nullptr) session.set_eval_cache(store, kSignature);
+  while (session.step().has_value()) session.commit_cache_insert();
+  const core::TuneResult result = session.finalize();
+  ArmResult arm;
+  arm.surfaced = session.evaluator()->live_evals_performed();
+  arm.cache_hits = session.evaluator()->cache_hits();
+  if (result.best.has_value()) arm.err = full_error_at(view, *result.best);
+  return arm;
 }
 
 // The warm-start transfer arm for one (A, B) pair sharing a config list.
@@ -70,52 +89,23 @@ Table warm_start_transfer(const std::string& name_a, const std::string& name_b,
                           const core::PoolEvalView& view_a,
                           const core::PoolEvalView& view_b,
                           std::size_t trials, std::uint64_t seed) {
-  // Absorb-mode caches are namespaced like any other store; a single
-  // constant keeps both A passes in one namespace while the fidelity key
-  // still separates checkpoints.
-  constexpr std::uint64_t kSignature = 0xf16'10;
-  hpo::MemoryEvalStore store;
+  core::MemoryEvalStore store;
 
   Table table({"pair", "arm", "trials", "surfaced", "cache_hits", "err_pct"});
   const std::string pair = name_a + "->" + name_b;
-  const auto add = [&](const std::string& arm, std::size_t surfaced,
-                       std::size_t hits, double err) {
+  const auto add = [&](const std::string& arm, const ArmResult& r) {
     table.add_row({pair, arm, std::to_string(trials),
-                   std::to_string(surfaced), std::to_string(hits),
-                   Table::format(100.0 * err)});
+                   std::to_string(r.surfaced), std::to_string(r.cache_hits),
+                   Table::format(100.0 * r.err)});
   };
 
   // Phase A, cold: fills the store.
-  {
-    hpo::CachingTuner tuner(
-        sim::make_pool_tuner(sim::Method::kRandomSearch, configs, view_a,
-                             trials, Rng(seed)),
-        &store, kSignature, hpo::CachingTuner::Mode::kAbsorb);
-    std::size_t surfaced = 0;
-    const double best = drive(tuner, view_a, &surfaced);
-    add("tune_a_cold", surfaced, tuner.cache_hits(), best);
-  }
-
-  // Phase A, warm (new seed, same store): repeat asks are absorbed — the
-  // driver pays only for fingerprints the first pass never evaluated.
-  {
-    hpo::CachingTuner tuner(
-        sim::make_pool_tuner(sim::Method::kRandomSearch, configs, view_a,
-                             trials, Rng(seed + 1)),
-        &store, kSignature, hpo::CachingTuner::Mode::kAbsorb);
-    std::size_t surfaced = 0;
-    const double best = drive(tuner, view_a, &surfaced);
-    add("tune_a_warm", surfaced, tuner.cache_hits(), best);
-  }
-
+  add("tune_a_cold", tune_arm(configs, view_a, trials, seed, &store));
+  // Phase A, warm (new seed, same store): repeat asks are served from the
+  // store — only fingerprints the first pass never evaluated run live.
+  add("tune_a_warm", tune_arm(configs, view_a, trials, seed + 1, &store));
   // Phase B, cold: fresh random search on B at the same budget.
-  {
-    auto tuner = sim::make_pool_tuner(sim::Method::kRandomSearch, configs,
-                                      view_b, trials, Rng(seed + 2));
-    std::size_t surfaced = 0;
-    const double best = drive(*tuner, view_b, &surfaced);
-    add("tune_b_cold", surfaced, 0, best);
-  }
+  add("tune_b_cold", tune_arm(configs, view_b, trials, seed + 2, nullptr));
 
   // Phase B, warm-started: rank the cached A outcomes (best first) and
   // spend the B budget on those fingerprints. Every trial here is a cache
@@ -123,7 +113,7 @@ Table warm_start_transfer(const std::string& name_a, const std::string& name_b,
   {
     std::map<std::string, std::size_t> index_of;
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      index_of[hpo::config_fingerprint(configs[c])] = c;
+      index_of[core::config_fingerprint(configs[c])] = c;
     }
     std::vector<std::pair<double, std::size_t>> ranked;
     for (const auto& [key, outcome] : store.snapshot()) {
@@ -131,14 +121,15 @@ Table warm_start_transfer(const std::string& name_a, const std::string& name_b,
       if (it != index_of.end()) ranked.push_back({outcome.noisy_objective, it->second});
     }
     std::sort(ranked.begin(), ranked.end());
-    double best = std::numeric_limits<double>::infinity();
-    const std::size_t k = std::min(trials, ranked.size());
+    ArmResult warm;
+    warm.surfaced = warm.cache_hits = std::min(trials, ranked.size());
     const std::size_t ck = view_b.final_checkpoint();
-    for (std::size_t i = 0; i < k; ++i) {
-      best = std::min(best, view_b.full_error(ranked[i].second, ck,
-                                              fl::Weighting::kByExampleCount));
+    for (std::size_t i = 0; i < warm.surfaced; ++i) {
+      warm.err = std::min(warm.err,
+                          view_b.full_error(ranked[i].second, ck,
+                                            fl::Weighting::kByExampleCount));
     }
-    add("tune_b_warmstart", k, k, best);
+    add("tune_b_warmstart", warm);
   }
   return table;
 }

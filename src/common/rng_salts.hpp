@@ -67,12 +67,6 @@ inline constexpr std::uint64_t kEvalCall = 0x6576616cULL;  // "eval"
 // (plan seed, k) alone, so every failure run is bitwise reproducible.
 inline constexpr std::uint64_t kFaultTear = 0x74656172ULL;  // "tear"
 
-// --- hpo/middleware.cpp ----------------------------------------------------
-// LocalSearchTuner perturbation streams: step i of the refinement phase
-// draws from tuner_rng.split(kLocalSearch + i) — pure per-step, so the
-// hill-climb is a function of (tuner seed, incumbent, step index) alone.
-inline constexpr std::uint64_t kLocalSearch = 0x6c73726368ULL;  // "lsrch"
-
 // --- service/study.cpp -----------------------------------------------------
 // Study streams derived from the study seed: the tuner is constructed with
 // Rng(spec.seed).split(kStudyTuner); the driver/evaluator seed is

@@ -1,5 +1,6 @@
 #include "core/eval_cache.hpp"
 
+#include <cstdio>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -51,8 +52,7 @@ constexpr std::uint8_t kEntry = 1;
 // scanner to trust a multi-gigabyte "payload".
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
-std::string encode_entry(const hpo::EvalKey& key,
-                         const hpo::EvalOutcome& outcome) {
+std::string encode_entry(const EvalKey& key, const EvalOutcome& outcome) {
   BufferWriter payload;
   payload.write_u8(kEntry);
   payload.write_string(key.fingerprint);
@@ -75,6 +75,46 @@ std::string frame_of(const std::string& payload) {
 }
 
 }  // namespace
+
+std::string config_fingerprint(const hpo::Config& config) {
+  std::string out;
+  out.reserve(config.size() * 24);
+  char buf[32];
+  for (const auto& [name, value] : config) {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out += name;
+    out += '=';
+    out += buf;
+    out += ';';
+  }
+  return out;
+}
+
+// --- MemoryEvalStore --------------------------------------------------------
+
+std::optional<EvalOutcome> MemoryEvalStore::lookup(const EvalKey& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool MemoryEvalStore::insert(const EvalKey& key, const EvalOutcome& outcome) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.emplace(key, outcome).second;
+}
+
+std::size_t MemoryEvalStore::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
+}
+
+std::vector<std::pair<EvalKey, EvalOutcome>> MemoryEvalStore::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {map_.begin(), map_.end()};
+}
+
+// --- EvalCache --------------------------------------------------------------
 
 EvalCache::EvalCache(Env& env, std::string path,
                      std::unique_ptr<WritableFile> file, std::uint64_t durable,
@@ -112,7 +152,7 @@ std::unique_ptr<EvalCache> EvalCache::open(const std::string& path, Env* env,
   FEDTUNE_CHECK_MSG(magic == kEvalCacheMagic,
                     "unknown eval-cache magic in " << path);
 
-  std::map<hpo::EvalKey, hpo::EvalOutcome> map;
+  std::map<EvalKey, EvalOutcome> map;
   std::size_t pos = sizeof(magic);
   std::size_t valid_end = pos;
   while (pos + 2 * sizeof(std::uint32_t) <= bytes.size()) {
@@ -128,11 +168,11 @@ std::unique_ptr<EvalCache> EvalCache::open(const std::string& path, Env* env,
     try {
       const std::uint8_t type = r.read_u8();
       if (type != kEntry) throw std::invalid_argument("unknown entry type");
-      hpo::EvalKey key;
+      EvalKey key;
       key.fingerprint = r.read_string();
       key.fidelity = r.read_u64();
       key.noise_signature = r.read_u64();
-      hpo::EvalOutcome outcome;
+      EvalOutcome outcome;
       outcome.noisy_objective = r.read_f64();
       outcome.full_error = r.read_f64();
       if (!r.at_end()) throw std::invalid_argument("payload trailing bytes");
@@ -155,7 +195,7 @@ std::unique_ptr<EvalCache> EvalCache::open(const std::string& path, Env* env,
   return cache;
 }
 
-std::optional<hpo::EvalOutcome> EvalCache::lookup(const hpo::EvalKey& key) {
+std::optional<EvalOutcome> EvalCache::lookup(const EvalKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   if (it == map_.end()) {
@@ -168,8 +208,7 @@ std::optional<hpo::EvalOutcome> EvalCache::lookup(const hpo::EvalKey& key) {
   return it->second;
 }
 
-bool EvalCache::insert(const hpo::EvalKey& key,
-                       const hpo::EvalOutcome& outcome) {
+bool EvalCache::insert(const EvalKey& key, const EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!map_.emplace(key, outcome).second) return false;
   inserts_counter_->add(1);
@@ -180,8 +219,7 @@ bool EvalCache::insert(const hpo::EvalKey& key,
   return true;
 }
 
-void EvalCache::append_entry(const hpo::EvalKey& key,
-                             const hpo::EvalOutcome& outcome) {
+void EvalCache::append_entry(const EvalKey& key, const EvalOutcome& outcome) {
   if (broken_ || file_ == nullptr) {
     degraded_ = true;
     return;
@@ -263,12 +301,6 @@ void EvalCache::compact() {
   degraded_ = false;
   broken_ = false;
   compactions_counter_->add(1);
-}
-
-std::vector<std::pair<hpo::EvalKey, hpo::EvalOutcome>> EvalCache::snapshot()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {map_.begin(), map_.end()};
 }
 
 }  // namespace fedtune::core

@@ -1,5 +1,6 @@
-// EvalCache — persistent, shared (config, fidelity, noise-signature) →
-// evaluation-outcome store behind the CachingTuner/TuningSession cache path.
+// The evaluation cache: the (config, fidelity, noise-signature) → outcome
+// store that core::TuningSession consults (set_eval_cache), plus EvalCache,
+// its persistent, shared implementation.
 //
 // One cache file per pool, owned by the StudyManager and shared by every
 // tenant tuning that pool: N studies sweeping overlapping config sets pay
@@ -35,7 +36,7 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "hpo/middleware.hpp"
+#include "hpo/search_space.hpp"
 
 namespace fedtune::obs {
 class Counter;
@@ -44,7 +45,68 @@ class Gauge;
 
 namespace fedtune::core {
 
-class EvalCache : public hpo::EvalStore {
+// Canonical config fingerprint: "name=value;" pairs in Config's (ordered
+// map) key order, values formatted with %.17g so every double round-trips
+// bitwise. Two configs share a fingerprint iff they are bitwise-identical
+// parameter maps.
+std::string config_fingerprint(const hpo::Config& config);
+
+// One cached evaluation outcome: the noisy objective served to the tuner
+// and the ground-truth full error recorded alongside it.
+struct EvalOutcome {
+  double noisy_objective = 1.0;
+  double full_error = 1.0;
+};
+
+// Cache key: (config fingerprint, fidelity, noise signature). An entry is
+// only served at its exact fidelity (target_rounds) — a checkpoint-9 error
+// says nothing about checkpoint-27 — and only within its noise namespace
+// (core::noise_signature hashes every noise-model knob the stored value
+// depends on, so e.g. an epsilon=1 study never consumes an epsilon=inf
+// entry).
+struct EvalKey {
+  std::string fingerprint;
+  std::uint64_t fidelity = 0;
+  std::uint64_t noise_signature = 0;
+
+  friend bool operator<(const EvalKey& a, const EvalKey& b) {
+    if (a.fingerprint != b.fingerprint) return a.fingerprint < b.fingerprint;
+    if (a.fidelity != b.fidelity) return a.fidelity < b.fidelity;
+    return a.noise_signature < b.noise_signature;
+  }
+  friend bool operator==(const EvalKey& a, const EvalKey& b) {
+    return a.fingerprint == b.fingerprint && a.fidelity == b.fidelity &&
+           a.noise_signature == b.noise_signature;
+  }
+};
+
+// The store TuningSession consults. Implementations: MemoryEvalStore and
+// the persistent EvalCache (below). Thread-safe.
+class EvalStore {
+ public:
+  virtual ~EvalStore() = default;
+  virtual std::optional<EvalOutcome> lookup(const EvalKey& key) = 0;
+  // First write wins: returns false (and keeps the existing entry) when the
+  // key is already present — concurrent tenants race to insert, and the
+  // stable outcome must not depend on arrival order after the first.
+  virtual bool insert(const EvalKey& key, const EvalOutcome& outcome) = 0;
+  virtual std::size_t entries() const = 0;
+};
+
+// In-memory EvalStore for tests and benches.
+class MemoryEvalStore : public EvalStore {
+ public:
+  std::optional<EvalOutcome> lookup(const EvalKey& key) override;
+  bool insert(const EvalKey& key, const EvalOutcome& outcome) override;
+  std::size_t entries() const override;
+  std::vector<std::pair<EvalKey, EvalOutcome>> snapshot() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::map<EvalKey, EvalOutcome> map_;
+};
+
+class EvalCache : public EvalStore {
  public:
   // Opens (scanning + healing an existing file) or creates the cache at
   // `path`. Throws IoError when the file cannot be created/read at all.
@@ -53,9 +115,8 @@ class EvalCache : public hpo::EvalStore {
                                          Env* env = nullptr,
                                          bool sync_on_commit = false);
 
-  std::optional<hpo::EvalOutcome> lookup(const hpo::EvalKey& key) override;
-  bool insert(const hpo::EvalKey& key,
-              const hpo::EvalOutcome& outcome) override;
+  std::optional<EvalOutcome> lookup(const EvalKey& key) override;
+  bool insert(const EvalKey& key, const EvalOutcome& outcome) override;
   std::size_t entries() const override;
 
   // Pool-wide counters across every tenant sharing this cache.
@@ -68,9 +129,6 @@ class EvalCache : public hpo::EvalStore {
   // dropping duplicate/torn history and clearing the degraded flag.
   void compact();
 
-  // All entries, for warm-start enumeration (bench_fig10_transfer).
-  std::vector<std::pair<hpo::EvalKey, hpo::EvalOutcome>> snapshot() const;
-
   const std::string& path() const { return path_; }
 
  private:
@@ -78,7 +136,7 @@ class EvalCache : public hpo::EvalStore {
             std::uint64_t durable, bool sync_on_commit);
 
   // Serializes and appends one entry; absorbs IoError into degraded_.
-  void append_entry(const hpo::EvalKey& key, const hpo::EvalOutcome& outcome);
+  void append_entry(const EvalKey& key, const EvalOutcome& outcome);
   void heal_to_durable();
 
   Env* env_;
@@ -90,7 +148,7 @@ class EvalCache : public hpo::EvalStore {
   bool broken_ = false;  // heal failed; stop touching the file until compact()
 
   mutable std::mutex mu_;
-  std::map<hpo::EvalKey, hpo::EvalOutcome> map_;
+  std::map<EvalKey, EvalOutcome> map_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 

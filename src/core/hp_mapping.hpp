@@ -8,7 +8,6 @@
 
 #include "core/noise_model.hpp"
 #include "fl/hyperparams.hpp"
-#include "hpo/middleware.hpp"
 #include "hpo/search_space.hpp"
 
 namespace fedtune::core {
@@ -18,14 +17,6 @@ namespace fedtune::core {
 fl::FedHyperParams to_fed_hyperparams(const hpo::Config& config);
 
 hpo::Config from_fed_hyperparams(const fl::FedHyperParams& hps);
-
-// Canonical config fingerprint for evaluation-cache keys: "name=value;"
-// pairs in key order with %.17g values (bitwise double round-trip). The
-// format lives with the generic middleware; this delegate is the core-side
-// entry point so fingerprints and the hp mapping stay in one module.
-inline std::string config_fingerprint(const hpo::Config& config) {
-  return hpo::config_fingerprint(config);
-}
 
 // Noise-namespace signature for evaluation-cache keys: a stable hash of
 // every NoiseModel knob the stored noisy objective depends on. Two studies

@@ -1,5 +1,7 @@
 #include "core/tuning_driver.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "privacy/topk.hpp"
 
@@ -45,7 +47,7 @@ TuningSession::TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
   }
 
   evaluator_.emplace(eval_noise, runner.client_weights(),
-                     tuner.planned_evaluations(), eval_rng, pure_eval_streams);
+                     planned_evaluations(), eval_rng, pure_eval_streams);
 }
 
 TuningSession::TuningSession(hpo::Tuner& tuner, const DriverOptions& opts)
@@ -55,15 +57,22 @@ TuningSession::TuningSession(hpo::Tuner& tuner, const DriverOptions& opts)
                     "one-shot DP selection needs a managed evaluator");
 }
 
+std::size_t TuningSession::planned_evaluations() const {
+  return std::min(tuner_->planned_evaluations(), opts_.max_trials);
+}
+
 std::optional<hpo::Trial> TuningSession::ask() {
   FEDTUNE_CHECK_MSG(!outstanding_.has_value(),
                     "previous trial not yet completed");
-  if (done() || tuner_->done()) return std::nullopt;
+  // The trial cap is checked before the tuner is asked, so a capped tuner
+  // never issues (or advances its state past) the first trial beyond it.
+  if (done()) return std::nullopt;
   std::optional<hpo::Trial> trial = tuner_->ask();
   if (!trial.has_value()) {
     no_more_ = true;
     return std::nullopt;
   }
+  ++trials_issued_;
   // Budget check mirrors run_tuning's historical order (after the ask), so
   // trajectories are unchanged: the crossing ask is issued, then discarded.
   if (result_.rounds_used >= opts_.budget_rounds) {
@@ -102,7 +111,7 @@ TrialRecord TuningSession::apply_outcome(const hpo::Trial& trial,
   return record;
 }
 
-void TuningSession::set_eval_cache(hpo::EvalStore* store,
+void TuningSession::set_eval_cache(EvalStore* store,
                                    std::uint64_t noise_signature) {
   FEDTUNE_CHECK_MSG(store == nullptr || runner_ != nullptr,
                     "eval cache requires a managed session");
@@ -110,10 +119,10 @@ void TuningSession::set_eval_cache(hpo::EvalStore* store,
   cache_signature_ = noise_signature;
 }
 
-hpo::EvalKey TuningSession::cache_key_for(const hpo::Trial& trial) const {
-  return hpo::EvalKey{hpo::config_fingerprint(trial.config),
-                      static_cast<std::uint64_t>(trial.target_rounds),
-                      cache_signature_};
+EvalKey TuningSession::cache_key_for(const hpo::Trial& trial) const {
+  return EvalKey{config_fingerprint(trial.config),
+                 static_cast<std::uint64_t>(trial.target_rounds),
+                 cache_signature_};
 }
 
 void TuningSession::commit_cache_insert() {
@@ -131,8 +140,8 @@ TrialRecord TuningSession::run_outstanding() {
   const hpo::Trial trial = *outstanding_;
 
   if (eval_cache_ != nullptr) {
-    const hpo::EvalKey key = cache_key_for(trial);
-    if (const std::optional<hpo::EvalOutcome> hit = eval_cache_->lookup(key)) {
+    const EvalKey key = cache_key_for(trial);
+    if (const std::optional<EvalOutcome> hit = eval_cache_->lookup(key)) {
       // Hit: the stored outcome is what a live evaluation at this fidelity
       // would have produced (first writer's draw). Zero rounds consumed —
       // that is the entire throughput win — and the evaluator charges the
@@ -150,7 +159,7 @@ TrialRecord TuningSession::run_outstanding() {
     // Stage the insert; it lands only once the caller confirms the tell is
     // durable (commit_cache_insert) so the shared store never learns of a
     // step a crash could erase.
-    pending_insert_ = {key, hpo::EvalOutcome{noisy, full}};
+    pending_insert_ = {key, EvalOutcome{noisy, full}};
     return apply_outcome(trial, noisy, full, cumulative);
   }
 
@@ -214,8 +223,8 @@ void TuningSession::replay(const TrialRecord& record, bool reexecute_runner) {
   // uninterrupted run.
   if (eval_cache_ != nullptr) {
     eval_cache_->insert(cache_key_for(*trial),
-                        hpo::EvalOutcome{record.noisy_objective,
-                                         record.full_error});
+                        EvalOutcome{record.noisy_objective,
+                                    record.full_error});
   }
   apply_outcome(*trial, record.noisy_objective, record.full_error,
                 record.cumulative_rounds);

@@ -12,10 +12,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/eval_cache.hpp"
 #include "core/noise_model.hpp"
 #include "core/noisy_evaluator.hpp"
 #include "core/trial_runner.hpp"
-#include "hpo/middleware.hpp"
 #include "hpo/tuner.hpp"
 
 namespace fedtune::core {
@@ -29,6 +29,10 @@ struct DriverOptions {
   DpStyle dp_style = DpStyle::kPerEvaluation;
   // Stop issuing new trials once consumed rounds reach this budget.
   std::size_t budget_rounds = std::numeric_limits<std::size_t>::max();
+  // Stop issuing new trials once this many have been issued. The cap also
+  // bounds the planned evaluation count M the per-evaluation privacy budget
+  // epsilon / M is split over: M = min(tuner plan, max_trials).
+  std::size_t max_trials = std::numeric_limits<std::size_t>::max();
   std::uint64_t seed = 0;
 };
 
@@ -85,9 +89,13 @@ class TuningSession {
   // External mode: objectives come from the caller.
   TuningSession(hpo::Tuner& tuner, const DriverOptions& opts);
 
-  // True once no further trial will be issued (tuner finished or budget
-  // exhausted). The final selection is still available via finalize().
-  bool done() const { return no_more_ || exhausted_; }
+  // True once no further trial will be issued: the tuner is finished, the
+  // trial cap is reached, or the round budget is exhausted. The final
+  // selection is still available via finalize().
+  bool done() const {
+    return no_more_ || exhausted_ || trials_issued_ >= opts_.max_trials ||
+           tuner_->done();
+  }
   bool budget_exhausted() const { return exhausted_; }
   bool has_outstanding() const { return outstanding_.has_value(); }
   const std::optional<hpo::Trial>& outstanding() const { return outstanding_; }
@@ -125,7 +133,7 @@ class TuningSession {
   // durability would let an unjournaled step leak into the shared store and
   // change hit/miss decisions across a crash). Driverless callers commit
   // immediately after each step.
-  void set_eval_cache(hpo::EvalStore* store, std::uint64_t noise_signature);
+  void set_eval_cache(EvalStore* store, std::uint64_t noise_signature);
   // Inserts the staged (key, outcome) of the last miss, if any. Idempotent.
   void commit_cache_insert();
 
@@ -135,6 +143,9 @@ class TuningSession {
   TuneResult finalize();
 
   std::size_t steps() const { return result_.records.size(); }
+  // M: the evaluations the privacy budget is split over (and the noise
+  // signature namespaces by) — the tuner's plan, capped by max_trials.
+  std::size_t planned_evaluations() const;
   std::size_t rounds_used() const { return result_.rounds_used; }
   const NoisyEvaluator* evaluator() const {
     return evaluator_ ? &*evaluator_ : nullptr;
@@ -144,20 +155,21 @@ class TuningSession {
   TrialRecord apply_outcome(const hpo::Trial& trial, double noisy_objective,
                             double full_error, std::size_t cumulative_rounds);
 
-  hpo::EvalKey cache_key_for(const hpo::Trial& trial) const;
+  EvalKey cache_key_for(const hpo::Trial& trial) const;
 
   hpo::Tuner* tuner_;
   TrialRunner* runner_ = nullptr;  // null in external mode
   DriverOptions opts_;
   std::optional<Rng> selector_rng_;          // outlives the DP selector
   std::optional<NoisyEvaluator> evaluator_;  // managed mode only
-  hpo::EvalStore* eval_cache_ = nullptr;
+  EvalStore* eval_cache_ = nullptr;
   std::uint64_t cache_signature_ = 0;
   // Last miss's outcome, staged until the caller confirms the tell durable.
-  std::optional<std::pair<hpo::EvalKey, hpo::EvalOutcome>> pending_insert_;
+  std::optional<std::pair<EvalKey, EvalOutcome>> pending_insert_;
   TuneResult result_;
   double best_noisy_ = std::numeric_limits<double>::infinity();
   std::optional<hpo::Trial> outstanding_;
+  std::size_t trials_issued_ = 0;  // successful tuner asks, replay included
   bool no_more_ = false;    // tuner finished / returned nullopt
   bool exhausted_ = false;  // budget cap reached
 };

@@ -46,10 +46,11 @@ TopKSelector exact_top_k_selector();
 // re-constructing the tuner and replaying its journaled tell values, and
 // the result must be bitwise identical to the uninterrupted run.
 //
-// Evaluation-cache interaction (hpo/middleware.hpp, core/eval_cache.hpp):
-// a shared cross-tenant cache is MUTABLE global state, so it must never
-// influence the replayed prefix. The service keeps the contract by making
-// hits indistinguishable from evaluations after the fact:
+// Evaluation-cache interaction (core/eval_cache.hpp, consulted by
+// core::TuningSession): a shared cross-tenant cache is MUTABLE global
+// state, so it must never influence the replayed prefix. The service keeps
+// the contract by making hits indistinguishable from evaluations after the
+// fact:
 //   - A cache hit is journaled as an ordinary tell (the served objective is
 //     the recorded value); replay applies journaled objectives and never
 //     consults the cache, so the replayed trial/tell sequence is exact even

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/placement.hpp"
@@ -17,10 +18,10 @@ namespace fedtune::service {
 
 namespace {
 
-// Strict u64 parse for repl offsets: digits only, bounded width. Offsets
-// come from a peer daemon, not a trusted CLI — a bare std::stoull would
-// abort on garbage.
-std::optional<std::uint64_t> parse_offset(const std::string& word) {
+// Strict u64 parse for wire integers (repl offsets, create-study counts):
+// digits only, bounded width. A bare std::stoul accepts "8x" as 8 and wraps
+// "-1" to SIZE_MAX, and it throws on garbage.
+std::optional<std::uint64_t> parse_u64(const std::string& word) {
   if (word.empty() || word.size() > 19) return std::nullopt;
   std::uint64_t value = 0;
   for (const char c : word) {
@@ -219,6 +220,18 @@ std::string ServiceHandler::create_study(
   spec.name = words[1];
   spec.pool = default_pool_;
   spec.num_configs = 8;
+  // The integer-valued keys, all parsed strictly (seed is a u64, the rest
+  // are size_t: one pointer type serves both on LP64).
+  static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+  const auto count_field = [&spec](const std::string& key) -> std::uint64_t* {
+    if (key == "configs") return &spec.num_configs;
+    if (key == "budget") return &spec.budget_rounds;
+    if (key == "seed") return &spec.seed;
+    if (key == "eval-clients") return &spec.noise.eval_clients;
+    if (key == "deadline") return &spec.deadline_slices;
+    if (key == "max-trials") return &spec.max_trials;
+    return nullptr;
+  };
   for (std::size_t i = 2; i < words.size(); ++i) {
     const std::string& w = words[i];
     const std::size_t eq = w.find('=');
@@ -233,22 +246,16 @@ std::string ServiceHandler::create_study(
       const auto m = method_from_name(value);
       if (!m.has_value()) return "err unknown method '" + value + "'";
       spec.method = *m;
-    } else if (key == "configs") {
-      spec.num_configs = std::stoul(value);
-    } else if (key == "budget") {
-      spec.budget_rounds = std::stoul(value);
-    } else if (key == "seed") {
-      spec.seed = std::stoull(value);
     } else if (key == "pool") {
       spec.pool = value;
-    } else if (key == "eval-clients") {
-      spec.noise.eval_clients = std::stoul(value);
     } else if (key == "epsilon") {
       spec.noise.epsilon = std::stod(value);
     } else if (key == "bias-b") {
       spec.noise.bias_b = std::stod(value);
-    } else if (key == "deadline") {
-      spec.deadline_slices = std::stoul(value);
+    } else if (std::uint64_t* field = count_field(key)) {
+      const std::optional<std::uint64_t> n = parse_u64(value);
+      if (!n.has_value()) return "err bad value for '" + key + "'";
+      *field = *n;
     } else if (key == "cache") {
       if (value != "on" && value != "off") {
         return "err cache must be on|off";
@@ -259,8 +266,6 @@ std::string ServiceHandler::create_study(
         return "err warm must be on|off";
       }
       spec.warm_start = value == "on";
-    } else if (key == "max-trials") {
-      spec.max_trials = std::stoul(value);
     } else {
       return "err unknown option '" + key + "'";
     }
@@ -368,7 +373,7 @@ std::string ServiceHandler::repl_append(
   if (words.size() != 4) {
     return "err usage: repl-append STUDY BASE_OFFSET HEXBYTES";
   }
-  const auto base = parse_offset(words[2]);
+  const auto base = parse_u64(words[2]);
   if (!base.has_value()) return "err bad offset '" + words[2] + "'";
   const auto bytes = cluster::hex_decode(words[3]);
   if (!bytes.has_value()) return "err bad hex payload";

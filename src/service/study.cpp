@@ -8,7 +8,6 @@
 #include "common/rng_salts.hpp"
 #include "core/hp_mapping.hpp"
 #include "hpo/bohb.hpp"
-#include "hpo/middleware.hpp"
 #include "hpo/hyperband.hpp"
 #include "hpo/random_search.hpp"
 #include "hpo/successive_halving.hpp"
@@ -99,48 +98,29 @@ void StudySession::init_engine() {
   const Rng base(spec_.seed);
   tuner_ = make_study_tuner(spec_, pool_.get(), base.split(salts::kStudyTuner));
 
-  // Middleware stack, innermost-out: LimitTuner (spec cap on trials) then
-  // CachingTuner in surface mode (the session consults the store itself; the
-  // wrapper keeps the composition explicit and the forwarding contract —
-  // set_selector to the innermost tuner, planned_evaluations unchanged —
-  // test-enforced). Both wrappers are pure functions of the spec, so a
-  // resumed study rebuilds the identical stack.
-  if (spec_.max_trials != std::numeric_limits<std::size_t>::max()) {
-    hpo::LimitOptions limits;
-    limits.max_trials = spec_.max_trials;
-    tuner_ = std::make_unique<hpo::LimitTuner>(std::move(tuner_), limits);
-  }
-  const bool cache_wired =
-      !spec_.external && spec_.use_eval_cache && options_.eval_cache != nullptr;
-  std::uint64_t signature = 0;
-  if (cache_wired) {
-    // M (the Laplace split) is part of the noise namespace under DP, so the
-    // signature is computed over the fully wrapped stack's plan. A study
-    // that opts out of warm starts scopes its entries to its own name.
-    signature = core::noise_signature(
-        spec_.noise, tuner_->planned_evaluations(),
-        spec_.warm_start ? std::string() : spec_.name);
-    tuner_ = std::make_unique<hpo::CachingTuner>(
-        std::move(tuner_), options_.eval_cache.get(), signature,
-        hpo::CachingTuner::Mode::kSurface);
-  }
-
   core::DriverOptions opts;
   opts.noise = spec_.noise;
   opts.dp_style = core::DpStyle::kPerEvaluation;
   opts.budget_rounds = spec_.budget_rounds;
+  opts.max_trials = spec_.max_trials;
   opts.seed = base.split(salts::kStudyDriver).seed();
 
   if (spec_.external) {
     session_.emplace(*tuner_, opts);
-  } else {
-    runner_.emplace(pool_->view);
-    // Pure per-eval streams: the replayability contract (journal.hpp).
-    session_.emplace(*tuner_, *runner_, opts, /*pure_eval_streams=*/true);
-    if (cache_wired) {
-      session_->set_eval_cache(options_.eval_cache.get(), signature);
-      cache_active_ = true;
-    }
+    return;
+  }
+  runner_.emplace(pool_->view);
+  // Pure per-eval streams: the replayability contract (journal.hpp).
+  session_.emplace(*tuner_, *runner_, opts, /*pure_eval_streams=*/true);
+  if (spec_.use_eval_cache && options_.eval_cache != nullptr) {
+    // M (the Laplace split, capped by max_trials) is part of the noise
+    // namespace under DP. A study that opts out of warm starts scopes its
+    // entries to its own name.
+    const std::uint64_t signature = core::noise_signature(
+        spec_.noise, session_->planned_evaluations(),
+        spec_.warm_start ? std::string() : spec_.name);
+    session_->set_eval_cache(options_.eval_cache.get(), signature);
+    cache_active_ = true;
   }
 }
 
@@ -333,7 +313,7 @@ bool StudySession::run_one_step() {
     if (const core::NoisyEvaluator* e = session_->evaluator()) {
       epsilon_gauge_->set(e->accountant().spent());
     }
-    if (tuner_->done()) finish();
+    if (session_->done()) finish();
     else maybe_compact();
   } catch (const IoError&) {
     // Quarantined (state/last_error already record why). Absorb the throw:
@@ -387,9 +367,10 @@ core::TrialRecord StudySession::tell(int trial_id, double objective) {
   }
   steps_counter_->add(1);
   obs::TraceRecorder::global().instant(trace_name_, "tell");
-  // The tuner may have nothing further to issue (e.g. final tell of the
-  // plan); surface completion without waiting for the next ask.
-  if (tuner_->done()) finish();
+  // The session may issue nothing further (e.g. final tell of the plan, or
+  // the trial cap reached); surface completion without waiting for the next
+  // ask.
+  if (session_->done()) finish();
   else maybe_compact();
   return record;
 }

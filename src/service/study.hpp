@@ -123,7 +123,7 @@ struct SessionOptions {
   // The pool's shared evaluation cache (usually the manager-owned
   // core::EvalCache; tests may pass a MemoryEvalStore). Consulted only when
   // the spec opts in (spec.use_eval_cache) and the study is managed.
-  std::shared_ptr<hpo::EvalStore> eval_cache;
+  std::shared_ptr<core::EvalStore> eval_cache;
   // Replication feed (cluster/replicator.hpp): every byte-level journal
   // mutation, labeled with the study name. Invoked on the appending thread
   // (the scheduler runs sessions on a pool — sinks must be thread-safe) and

@@ -90,8 +90,9 @@ struct StudySpec {
   // manager has one configured. warm_start: share the cross-tenant
   // namespace — false scopes this study's entries to itself (its own
   // kill/resume still benefits, but it neither reads nor seeds other
-  // tenants' outcomes). max_trials: LimitTuner cap on trials issued
-  // (SIZE_MAX = uncapped).
+  // tenants' outcomes). max_trials: cap on trials issued, passed to
+  // core::DriverOptions::max_trials (SIZE_MAX = uncapped); under DP it also
+  // caps the planned evaluation count M.
   bool use_eval_cache = true;
   bool warm_start = true;
   std::size_t max_trials = std::numeric_limits<std::size_t>::max();

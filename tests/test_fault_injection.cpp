@@ -705,7 +705,7 @@ TEST_F(CrashMatrix, TpeSurvivesEveryWriteBoundary) {
 
 // ------------------------------------ cached-stack crash-point matrix
 
-// The wrapped stack CachingTuner(LimitTuner(SuccessiveHalving)) behind a
+// A capped SHA study (DriverOptions::max_trials set from the spec) behind a
 // partially-warm SHARED evaluation cache: a producer study with the same
 // noise namespace seeds outcomes the victim's bracket overlaps, the fault
 // plan's empty path filter puts the .evalcache appends into the op matrix
@@ -729,8 +729,8 @@ class CachedCrashMatrix : public FaultFixture {
 TEST_F(CachedCrashMatrix, WrappedShaSurvivesEveryWriteBoundaryOnWarmCache) {
   StudySpec spec = managed_spec("csha", StudyMethod::kSha, 5);
   spec.seed = 23;
-  // Non-binding trial cap: wires LimitTuner into the stack without bending
-  // the trajectory, so the matrix runs through both wrapper layers.
+  // Non-binding trial cap: the session checks it on every ask and sizes M
+  // by it, without bending the trajectory.
   spec.max_trials = 64;
 
   // Warm the shared cache with a different-seed producer: same noise knobs

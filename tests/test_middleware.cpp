@@ -1,11 +1,12 @@
-// Tuner-middleware tests: the forwarding contract (set_selector reaches the
-// innermost tuner, planned_evaluations stays correct under CachingTuner),
-// CachingTuner absorb/surface modes, LimitTuner caps (trials, parent-aware
-// rounds, injected wall clock), LocalSearchTuner refinement in pool and
-// continuous modes, the persistent EvalCache (reopen, torn tails, degraded
-// best-effort appends, compaction), and the service-level shared-cache
-// behavior: warm tenants served without live evaluations, noise-signature
-// namespacing, and kill/resume bitwise identity on cold AND warm caches.
+// Evaluation-cache and trial-cap tests: the canonical config fingerprint,
+// TuningSession's cache path (entries keyed by fidelity and noise
+// signature), DriverOptions::max_trials (trials stop at the cap; a private
+// session splits epsilon over min(plan, cap), cached tells included), the
+// persistent EvalCache (reopen, torn tails, degraded best-effort appends,
+// compaction), and the service-level shared-cache behavior: warm tenants
+// served without live evaluations, noise-signature namespacing,
+// kill/resume bitwise identity on cold AND warm caches, and capped studies
+// finishing on the tell that reaches the cap.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,85 +24,23 @@
 #include "core/config_pool.hpp"
 #include "core/eval_cache.hpp"
 #include "core/hp_mapping.hpp"
-#include "hpo/middleware.hpp"
-#include "hpo/random_search.hpp"
+#include "core/pool_runner.hpp"
+#include "core/tuning_driver.hpp"
 #include "nn/factory.hpp"
 #include "service/study.hpp"
 #include "service/study_manager.hpp"
 #include "test_util.hpp"
 
-namespace fedtune::hpo {
+namespace fedtune::core {
 namespace {
+
+using hpo::Config;
+using hpo::Trial;
 
 std::uint64_t bits(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof(u));
   return u;
-}
-
-SearchSpace simple_space() {
-  SearchSpace s;
-  s.add_uniform("x", 0.0, 1.0).add_uniform("y", 0.0, 1.0);
-  return s;
-}
-
-double bowl(const Config& c) {
-  const double dx = c.at("x") - 0.3;
-  const double dy = c.at("y") - 0.7;
-  return dx * dx + dy * dy;
-}
-
-// A scripted inner tuner that records what reaches it: the middleware
-// forwarding regression probe.
-class ScriptTuner : public Tuner {
- public:
-  explicit ScriptTuner(std::vector<Trial> trials)
-      : trials_(std::move(trials)) {}
-
-  std::optional<Trial> ask() override {
-    if (next_ >= trials_.size()) return std::nullopt;
-    return trials_[next_++];
-  }
-  void tell(const Trial& trial, double objective) override {
-    told_.emplace_back(trial, objective);
-  }
-  bool done() const override { return told_.size() >= trials_.size(); }
-  std::optional<Trial> best_trial() const override {
-    const std::pair<Trial, double>* best = nullptr;
-    for (const auto& t : told_) {
-      if (best == nullptr || t.second < best->second) best = &t;
-    }
-    if (best == nullptr) return std::nullopt;
-    return best->first;
-  }
-  std::size_t planned_evaluations() const override { return trials_.size(); }
-  void set_selector(TopKSelector selector) override {
-    ++selector_sets;
-    Tuner::set_selector(std::move(selector));
-  }
-
-  const TopKSelector& current_selector() const { return selector_; }
-  const std::vector<std::pair<Trial, double>>& told() const { return told_; }
-  int selector_sets = 0;
-
- private:
-  std::vector<Trial> trials_;
-  std::size_t next_ = 0;
-  std::vector<std::pair<Trial, double>> told_;
-};
-
-std::vector<Trial> script_of(std::size_t n, std::size_t rounds) {
-  std::vector<Trial> trials;
-  Rng rng(41);
-  const SearchSpace space = simple_space();
-  for (std::size_t i = 0; i < n; ++i) {
-    Trial t;
-    t.id = static_cast<int>(i);
-    t.config = space.sample(rng);
-    t.target_rounds = rounds;
-    trials.push_back(std::move(t));
-  }
-  return trials;
 }
 
 TEST(ConfigFingerprint, BitwiseCanonicalAndOrdered) {
@@ -116,277 +55,146 @@ TEST(ConfigFingerprint, BitwiseCanonicalAndOrdered) {
   EXPECT_NE(config_fingerprint(a), config_fingerprint(c));
 }
 
-// --- forwarding contract (the wrapper hazards the header calls out) ---------
+// --- session cache path and trial cap ---------------------------------------
 
-TEST(TunerMiddleware, SetSelectorReachesInnermostThroughTwoLayers) {
-  auto script = std::make_unique<ScriptTuner>(script_of(4, 5));
-  ScriptTuner* probe = script.get();
-  MemoryEvalStore store;
-  auto limited = std::make_unique<LimitTuner>(std::move(script), LimitOptions{});
-  CachingTuner stack(std::move(limited), &store, /*noise_signature=*/7);
-
-  // A recognizable selector: always "selects" index 42.
-  stack.set_selector([](std::span<const double>, std::size_t) {
-    return std::vector<std::size_t>{42};
-  });
-  EXPECT_EQ(probe->selector_sets, 1);
-  const std::vector<double> accs = {0.1, 0.9};
-  EXPECT_EQ(probe->current_selector()(accs, 1), std::vector<std::size_t>{42});
-}
-
-TEST(TunerMiddleware, PlannedEvaluationsUnchangedByCachingTuner) {
-  // A cached tell still counts toward the Laplace M: serving hits must not
-  // shrink the planned-evaluation count the privacy budget was split over.
-  MemoryEvalStore store;
-  const std::vector<Trial> trials = script_of(6, 5);
-  for (const Trial& t : trials) {
-    store.insert(EvalKey{config_fingerprint(t.config), 5, 7},
-                 EvalOutcome{0.5, 0.5});
-  }
-  CachingTuner surface(std::make_unique<ScriptTuner>(trials), &store, 7,
-                       CachingTuner::Mode::kSurface);
-  EXPECT_EQ(surface.planned_evaluations(), 6u);
-  CachingTuner absorb(std::make_unique<ScriptTuner>(trials), &store, 7,
-                      CachingTuner::Mode::kAbsorb);
-  EXPECT_EQ(absorb.planned_evaluations(), 6u);
-}
-
-// --- CachingTuner -----------------------------------------------------------
-
-TEST(CachingTuner, SurfaceModeIsTransparent) {
-  MemoryEvalStore store;
-  const std::vector<Trial> trials = script_of(3, 5);
-  store.insert(EvalKey{config_fingerprint(trials[0].config), 5, 7},
-               EvalOutcome{0.25, 0.25});
-  CachingTuner tuner(std::make_unique<ScriptTuner>(trials), &store, 7,
-                     CachingTuner::Mode::kSurface);
-  // Every trial surfaces (hits included: the session resolves them), and
-  // tell performs no store I/O — insertion is the session's job, after the
-  // tell is durable.
-  int surfaced = 0;
-  while (auto t = tuner.ask()) {
-    ++surfaced;
-    tuner.tell(*t, bowl(t->config));
-  }
-  EXPECT_EQ(surfaced, 3);
-  EXPECT_EQ(store.entries(), 1u);
-  EXPECT_EQ(tuner.cache_hits(), 0u);
-  EXPECT_EQ(tuner.cache_misses(), 0u);
-}
-
-TEST(CachingTuner, AbsorbModeServesSecondRunEntirelyFromCache) {
-  MemoryEvalStore store;
-  const auto run = [&store] {
-    CachingTuner tuner(
-        std::make_unique<RandomSearch>(simple_space(), 8, 5, Rng(3)), &store,
-        /*noise_signature=*/0, CachingTuner::Mode::kAbsorb);
-    int surfaced = 0;
-    while (auto t = tuner.ask()) {
-      ++surfaced;
-      tuner.tell(*t, bowl(t->config));
+// A scripted pool-mode tuner: trial i evaluates pool config i at `rounds`.
+// It counts its asks, so a test can see that a capped session never asks
+// past the cap.
+class ScriptTuner : public hpo::Tuner {
+ public:
+  ScriptTuner(std::size_t n, std::size_t rounds) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Trial t;
+      t.id = static_cast<int>(i);
+      t.config = {{"x", 0.125 * static_cast<double>(i)}};
+      t.config_index = i;
+      t.target_rounds = rounds;
+      trials_.push_back(std::move(t));
     }
-    return std::make_tuple(surfaced, tuner.cache_hits(), tuner.cache_misses(),
-                           tuner.best_trial());
+  }
+
+  std::optional<Trial> ask() override {
+    if (asks_ >= trials_.size()) return std::nullopt;
+    return trials_[asks_++];
+  }
+  void tell(const Trial&, double) override { ++tells_; }
+  bool done() const override { return tells_ >= trials_.size(); }
+  std::optional<Trial> best_trial() const override { return std::nullopt; }
+  std::size_t planned_evaluations() const override { return trials_.size(); }
+
+  const std::vector<Trial>& trials() const { return trials_; }
+  std::size_t asks() const { return asks_; }
+
+ private:
+  std::vector<Trial> trials_;
+  std::size_t asks_ = 0;
+  std::size_t tells_ = 0;
+};
+
+// A 10-config view on checkpoints {3, 9} over 8 equally weighted clients.
+PoolEvalView small_view() {
+  constexpr std::size_t kConfigs = 10;
+  constexpr std::size_t kClients = 8;
+  PoolEvalView view({3, 9}, std::vector<double>(kClients, 1.0), kConfigs);
+  for (std::size_t c = 0; c < kConfigs; ++c) {
+    for (std::size_t ck = 0; ck < 2; ++ck) {
+      const std::span<float> e = view.errors(c, ck);
+      for (std::size_t k = 0; k < kClients; ++k) {
+        e[k] = static_cast<float>(0.1 + 0.05 * static_cast<double>(c) +
+                                  0.01 * static_cast<double>(k + ck));
+      }
+    }
+  }
+  return view;
+}
+
+TEST(SessionEvalCache, EntriesServeOnlyAtMatchingFidelityAndSignature) {
+  const PoolEvalView view = small_view();
+  MemoryEvalStore store;
+  const std::string fp =
+      config_fingerprint(ScriptTuner(1, 9).trials()[0].config);
+  // The same config at another fidelity, and in another noise namespace:
+  // neither may serve the session's (fidelity 9, signature 7) lookup.
+  store.insert(EvalKey{fp, 3, 7}, EvalOutcome{0.25, 0.25});
+  store.insert(EvalKey{fp, 9, 8}, EvalOutcome{0.25, 0.25});
+
+  struct Run {
+    TrialRecord record;
+    std::size_t hits, misses, live;
+  };
+  const auto run = [&] {
+    ScriptTuner tuner(1, 9);
+    PoolTrialRunner runner(view);
+    TuningSession session(tuner, runner, DriverOptions{},
+                          /*pure_eval_streams=*/true);
+    session.set_eval_cache(&store, /*noise_signature=*/7);
+    const TrialRecord record = session.step().value();
+    session.commit_cache_insert();
+    const NoisyEvaluator& e = *session.evaluator();
+    return Run{record, e.cache_hits(), e.cache_misses(),
+               e.live_evals_performed()};
   };
 
-  const auto [cold_surfaced, cold_hits, cold_misses, cold_best] = run();
-  EXPECT_EQ(cold_surfaced, 8);
-  EXPECT_EQ(cold_hits, 0u);
-  EXPECT_EQ(cold_misses, 8u);
-  ASSERT_LE(store.entries(), 8u);  // duplicate samples collapse
-  ASSERT_GE(store.entries(), 1u);
+  const Run cold_run = run();
+  EXPECT_EQ(cold_run.misses, 1u);
+  EXPECT_EQ(cold_run.hits, 0u);
+  EXPECT_EQ(cold_run.live, 1u);
+  const TrialRecord& cold = cold_run.record;
+  EXPECT_NE(bits(cold.noisy_objective), bits(0.25));
+  EXPECT_EQ(store.entries(), 3u);
 
-  // Identical run against the warm store: nothing surfaces to the driver,
-  // and the inner tuner converges to the same best via cached tells.
-  const auto [warm_surfaced, warm_hits, warm_misses, warm_best] = run();
-  EXPECT_EQ(warm_surfaced, 0);
-  EXPECT_EQ(warm_hits, 8u);
-  EXPECT_EQ(warm_misses, 0u);
-  ASSERT_TRUE(cold_best.has_value());
-  ASSERT_TRUE(warm_best.has_value());
-  EXPECT_EQ(warm_best->id, cold_best->id);
-  EXPECT_EQ(warm_best->config, cold_best->config);
+  // The committed entry does match: a second session is served from it.
+  const Run warm_run = run();
+  EXPECT_EQ(warm_run.hits, 1u);
+  EXPECT_EQ(warm_run.live, 0u);
+  const TrialRecord& warm = warm_run.record;
+  EXPECT_EQ(bits(warm.noisy_objective), bits(cold.noisy_objective));
+  EXPECT_EQ(bits(warm.full_error), bits(cold.full_error));
+  EXPECT_EQ(warm.cumulative_rounds, 0u);
 }
 
-TEST(CachingTuner, EntriesServeOnlyAtMatchingFidelityAndSignature) {
-  MemoryEvalStore store;
-  const std::vector<Trial> trials = script_of(1, 9);
-  CachingTuner tuner(std::make_unique<ScriptTuner>(trials), &store, 7,
-                     CachingTuner::Mode::kAbsorb);
-  const EvalKey key = tuner.key_for(trials[0]);
-  EXPECT_EQ(key.fidelity, 9u);
-  EXPECT_EQ(key.noise_signature, 7u);
-  // Same config at a different fidelity / in a different noise namespace:
-  // both must miss.
-  store.insert(EvalKey{key.fingerprint, 5, 7}, EvalOutcome{0.25, 0.25});
-  store.insert(EvalKey{key.fingerprint, 9, 8}, EvalOutcome{0.25, 0.25});
-  const auto t = tuner.ask();
-  ASSERT_TRUE(t.has_value());  // surfaced = miss
-  EXPECT_EQ(tuner.cache_misses(), 1u);
-}
-
-// --- LimitTuner -------------------------------------------------------------
-
-TEST(LimitTuner, CapsTrialsIssued) {
-  LimitOptions opts;
+TEST(SessionTrialCap, StopsAtCapAndSplitsEpsilonOverCappedPlan) {
+  const PoolEvalView view = small_view();
+  DriverOptions opts;
+  opts.noise.epsilon = 6.0;
   opts.max_trials = 3;
-  LimitTuner tuner(std::make_unique<ScriptTuner>(script_of(10, 5)), opts);
-  EXPECT_EQ(tuner.planned_evaluations(), 3u);
-  int issued = 0;
-  while (auto t = tuner.ask()) {
-    ++issued;
-    tuner.tell(*t, 0.5);
+
+  // The cap bounds M only from above: a smaller plan is kept as is.
+  {
+    ScriptTuner tuner(2, 9);
+    PoolTrialRunner runner(view);
+    EXPECT_EQ(TuningSession(tuner, runner, opts, true).planned_evaluations(),
+              2u);
   }
-  EXPECT_EQ(issued, 3);
-  EXPECT_TRUE(tuner.done());
-  EXPECT_EQ(tuner.trials_issued(), 3u);
+
+  ScriptTuner tuner(10, 9);
+  PoolTrialRunner runner(view);
+  // A cached tell still counts as one of the M evaluations: serving the
+  // first trial from the store must charge the same epsilon / M.
+  MemoryEvalStore store;
+  store.insert(EvalKey{config_fingerprint(tuner.trials()[0].config), 9, 1},
+               EvalOutcome{0.5, 0.5});
+  TuningSession session(tuner, runner, opts, /*pure_eval_streams=*/true);
+  session.set_eval_cache(&store, /*noise_signature=*/1);
+  EXPECT_EQ(session.planned_evaluations(), 3u);
+
+  std::size_t steps = 0;
+  while (session.step().has_value()) {
+    ++steps;
+    session.commit_cache_insert();
+    // epsilon / min(plan, cap) = 6 / 3 per evaluation, hit or live.
+    EXPECT_DOUBLE_EQ(session.evaluator()->accountant().spent(),
+                     2.0 * static_cast<double>(steps));
+  }
+  EXPECT_EQ(steps, 3u);
+  EXPECT_EQ(session.evaluator()->cache_hits(), 1u);
+  EXPECT_TRUE(session.done());
+  EXPECT_FALSE(session.budget_exhausted());
+  // The cap is checked before the tuner is asked: it never issued trial 3.
+  EXPECT_EQ(tuner.asks(), 3u);
 }
-
-TEST(LimitTuner, ChargesPromotionsTheirFidelityDelta) {
-  // SHA-style promotions: the promoted trial resumes its parent's
-  // checkpoint, so only the delta counts against max_rounds.
-  std::vector<Trial> trials(4);
-  trials[0].id = 0;
-  trials[0].target_rounds = 3;
-  trials[1].id = 1;
-  trials[1].target_rounds = 3;
-  trials[2].id = 2;
-  trials[2].target_rounds = 9;
-  trials[2].parent_id = 0;  // 3 -> 9: costs 6
-  trials[3].id = 3;
-  trials[3].target_rounds = 9;
-  trials[3].parent_id = 1;
-  for (auto& t : trials) t.config = {{"x", 0.5}, {"y", 0.5}};
-
-  LimitOptions opts;
-  opts.max_rounds = 10;
-  LimitTuner tuner(std::make_unique<ScriptTuner>(trials), opts);
-  int issued = 0;
-  while (auto t = tuner.ask()) {
-    ++issued;
-    tuner.tell(*t, 0.5);
-  }
-  // 3 + 3 + (9-3) = 12 >= 10 after the third tell; the fourth never issues.
-  EXPECT_EQ(issued, 3);
-  EXPECT_EQ(tuner.rounds_consumed(), 12u);
-  EXPECT_TRUE(tuner.done());
-}
-
-TEST(LimitTuner, WallBudgetUsesInjectedClockAndLatches) {
-  double now = 100.0;
-  LimitOptions opts;
-  opts.max_wall_seconds = 10.0;
-  opts.clock = [&now] { return now; };
-  LimitTuner tuner(std::make_unique<ScriptTuner>(script_of(10, 5)), opts);
-
-  auto t = tuner.ask();
-  ASSERT_TRUE(t.has_value());
-  tuner.tell(*t, 0.5);
-  now = 111.0;  // deadline blown
-  EXPECT_FALSE(tuner.ask().has_value());
-  EXPECT_TRUE(tuner.done());
-  now = 101.0;  // a cap, once tripped, stays tripped
-  EXPECT_FALSE(tuner.ask().has_value());
-  EXPECT_TRUE(tuner.done());
-}
-
-// --- LocalSearchTuner -------------------------------------------------------
-
-TEST(LocalSearchTuner, ContinuousRefinementImprovesDeterministically) {
-  LocalSearchOptions opts;
-  opts.max_steps = 6;
-  opts.step_scale = 0.2;
-
-  const auto run = [&opts] {
-    LocalSearchTuner tuner(
-        std::make_unique<RandomSearch>(simple_space(), 5, 1, Rng(4)),
-        simple_space(), opts, Rng(5));
-    EXPECT_EQ(tuner.planned_evaluations(), 5u + 6u);
-    std::vector<Trial> seen;
-    while (auto t = tuner.ask()) {
-      seen.push_back(*t);
-      tuner.tell(*t, bowl(t->config));
-    }
-    EXPECT_TRUE(tuner.done());
-    return std::make_pair(seen, tuner.best_trial());
-  };
-
-  const auto [seen_a, best_a] = run();
-  ASSERT_EQ(seen_a.size(), 5u + 6u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_LT(seen_a[i].id, kMiddlewareIdBase);
-  for (std::size_t i = 5; i < seen_a.size(); ++i) {
-    EXPECT_GE(seen_a[i].id, kMiddlewareIdBase) << "trial " << i;
-  }
-
-  // Refinement can only improve on the inner tuner's best.
-  RandomSearch plain(simple_space(), 5, 1, Rng(4));
-  double inner_best = std::numeric_limits<double>::infinity();
-  while (auto t = plain.ask()) {
-    inner_best = std::min(inner_best, bowl(t->config));
-    plain.tell(*t, bowl(t->config));
-  }
-  ASSERT_TRUE(best_a.has_value());
-  EXPECT_LE(bowl(best_a->config), inner_best);
-
-  // Bitwise deterministic: the replay contract applies to wrappers too.
-  const auto [seen_b, best_b] = run();
-  ASSERT_EQ(seen_a.size(), seen_b.size());
-  for (std::size_t i = 0; i < seen_a.size(); ++i) {
-    EXPECT_EQ(seen_a[i].id, seen_b[i].id);
-    ASSERT_EQ(seen_a[i].config.size(), seen_b[i].config.size());
-    for (const auto& [name, value] : seen_a[i].config) {
-      EXPECT_EQ(bits(value), bits(seen_b[i].config.at(name))) << name;
-    }
-  }
-}
-
-TEST(LocalSearchTuner, PoolModeVisitsNearestUnvisitedUntilExhausted) {
-  const SearchSpace space = simple_space();
-  Rng pool_rng(6);
-  std::vector<Config> configs;
-  for (int i = 0; i < 5; ++i) configs.push_back(space.sample(pool_rng));
-  const CandidatePool pool{configs};
-
-  auto inner = std::make_unique<RandomSearch>(space, 3, 1, Rng(7));
-  inner->set_candidate_pool(pool);
-  LocalSearchOptions opts;
-  opts.max_steps = 10;  // more than the pool can supply
-  LocalSearchTuner tuner(std::move(inner), space, opts, Rng(8));
-  tuner.set_candidate_pool(pool);
-
-  std::set<std::string> told_fingerprints;
-  std::size_t refinements = 0;
-  while (auto t = tuner.ask()) {
-    if (t->id >= kMiddlewareIdBase) {
-      ++refinements;
-      // Refinement trials come from the pool and never repeat a config.
-      ASSERT_LT(t->config_index, pool.configs.size());
-      EXPECT_EQ(t->config, pool.configs[t->config_index]);
-      EXPECT_EQ(told_fingerprints.count(config_fingerprint(t->config)), 0u);
-    }
-    told_fingerprints.insert(config_fingerprint(t->config));
-    tuner.tell(*t, bowl(t->config));
-  }
-  EXPECT_TRUE(tuner.done());
-  // Every distinct pool config was eventually visited; refinement stopped at
-  // exhaustion, not at max_steps.
-  EXPECT_EQ(told_fingerprints.size(), 5u);
-  EXPECT_LT(refinements, opts.max_steps);
-}
-
-}  // namespace
-}  // namespace fedtune::hpo
 
 // --- persistent EvalCache ---------------------------------------------------
-
-namespace fedtune::core {
-namespace {
-
-std::uint64_t bits(double v) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
 
 class EvalCacheTest : public ::testing::Test {
  protected:
@@ -405,8 +213,8 @@ class EvalCacheTest : public ::testing::Test {
     dirs_.push_back(dir);
     return dir;
   }
-  static hpo::EvalKey key(const std::string& fp, std::uint64_t fidelity) {
-    return hpo::EvalKey{fp, fidelity, /*noise_signature=*/99};
+  static EvalKey key(const std::string& fp, std::uint64_t fidelity) {
+    return EvalKey{fp, fidelity, /*noise_signature=*/99};
   }
   std::vector<std::string> dirs_;
 };
@@ -433,7 +241,7 @@ TEST_F(EvalCacheTest, PersistsAcrossReopenFirstWriteWins) {
   EXPECT_EQ(cache->hits(), 1u);
   EXPECT_EQ(cache->misses(), 1u);
   // A different noise signature is a different namespace.
-  EXPECT_FALSE(cache->lookup(hpo::EvalKey{"a=1;", 9, 100}).has_value());
+  EXPECT_FALSE(cache->lookup(EvalKey{"a=1;", 9, 100}).has_value());
 }
 
 TEST_F(EvalCacheTest, HealsTornTailAndBitRot) {
@@ -854,8 +662,42 @@ TEST_F(SharedCacheFixture, SpecKnobsPersistInJournalAndCapTrials) {
   while (s.run_one_step()) {
   }
   ASSERT_TRUE(s.finished());
-  // The LimitTuner cap held across the kill/resume.
+  // The trial cap held across the kill/resume.
   EXPECT_EQ(s.result().records.size(), 3u);
+}
+
+TEST_F(SharedCacheFixture, CappedStudyFinishesOnTheTellThatReachesTheCap) {
+  const std::string journal_dir = fresh_dir();
+  StudyManager mgr(cached_options(journal_dir, fresh_dir()));
+  mgr.register_pool("p", pool_);
+
+  // Managed: the step whose tell reaches the cap also finishes the study.
+  StudySpec managed = managed_spec("mcap", StudyMethod::kRandomSearch, 10);
+  managed.max_trials = 3;
+  StudySession& m = mgr.create_study(managed);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(m.finished()) << "step " << i;
+    EXPECT_TRUE(m.run_one_step()) << "step " << i;
+  }
+  EXPECT_TRUE(m.finished());
+
+  // External: the selection record is durable right after the capping tell,
+  // before any further ask.
+  StudySpec external = managed_spec("xcap", StudyMethod::kRandomSearch, 10);
+  external.external = true;
+  external.max_trials = 2;
+  StudySession& x = mgr.create_study(external);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(x.finished()) << "tell " << i;
+    const std::optional<hpo::Trial> t = x.ask();
+    ASSERT_TRUE(t.has_value()) << "tell " << i;
+    x.tell(t->id, 0.5);
+  }
+  EXPECT_TRUE(x.finished());
+  const RecoveredStudy journaled =
+      StudyJournal::recover(journal_dir + "/xcap.journal");
+  EXPECT_TRUE(journaled.finished);
+  EXPECT_EQ(journaled.steps.size(), 2u);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // non-frame bytes, auth and per-tenant quota enforcement at the connection
 // layer, slow-reader backpressure disconnects that leave other tenants
 // bitwise-unperturbed, cross-transport determinism for external ask/tell
-// studies, and kill/resume of TCP-served managed studies at several
-// interruption points. Every test talks to the server through net::Client.
+// studies, kill/resume of TCP-served managed studies at several
+// interruption points, and strict create-study integer parsing. Every
+// socket-level test talks to the server through net::Client.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -657,6 +658,32 @@ TEST_F(NetFixture, StudyQuotaGatesCreateAndReleasesOnSuspend) {
   EXPECT_EQ(request(a, "create-study q4 external max-trials=2")
                 .rfind("ok created", 0),
             0);
+}
+
+TEST_F(NetFixture, CreateStudyRejectsMalformedNumbers) {
+  const std::string dir = fresh_dir();
+  service::StudyManager mgr(manager_options(dir));
+  mgr.register_pool("p", pool_);
+  service::ServiceHandler handler(mgr, "p");
+  bool running = true;
+  // Every integer key parses strictly: no sign (-1 would wrap to an
+  // uncapped SIZE_MAX), no trailing junk (8x is not 8), no empty value.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"max-trials", "-1"}, {"configs", "8x"},      {"budget", "+9"},
+      {"seed", ""},         {"eval-clients", "0x4"}, {"deadline", "1e3"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_EQ(handler.handle("create-study m1 external " + key + "=" + value,
+                             &running),
+              "err bad value for '" + key + "'")
+        << key << "=" << value;
+  }
+  EXPECT_EQ(mgr.find("m1"), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/m1.journal"));
+  EXPECT_EQ(handler.handle("create-study m1 external configs=8 max-trials=3",
+                           &running),
+            "ok created m1");
+  EXPECT_TRUE(std::filesystem::exists(dir + "/m1.journal"));
 }
 
 TEST_F(NetFixture, SlowReaderDisconnectedOthersBitwiseUnaffected) {
