@@ -1,7 +1,8 @@
 // ReplicaStore — the follower half of journal replication: byte-exact
-// copies of peer studies' journals, kept under `<journal_dir>/replica/` so
-// StudyManager::resume_all() (which only scans the top level) never
-// resurrects a study this instance does not own.
+// copies of peer studies' journals, kept under `<journal_dir>/replica/`.
+// StudyManager only looks at the top level, so neither startup nor an
+// on-demand load resurrects a study this instance does not own; only a
+// promotion moves a replica where they look.
 //
 // The store speaks offsets, not journal records: a replica is correct iff
 // its bytes equal the primary journal's prefix [0, size). Appends carry the

@@ -105,47 +105,34 @@ std::string ServiceHandler::handle(const std::string& line, bool* running) {
     if (words.size() < 2) return "err missing study name";
     const std::string& name = words[1];
     if (verb == "promote") return promote(name);
-    if (verb == "resume") {
-      // Three flavors: un-park an in-memory session the scheduler
-      // suspended (e.g. past its deadline — resume grants a fresh
-      // allowance), rebuild a QUARANTINED session from its journal (the
-      // in-memory engine may be ahead of the durable history after a
-      // failed append, so flipping the state back would be wrong), or
-      // reconstruct a journaled study that has no active session.
-      if (StudySession* active = manager_.find(name)) {
-        if (active->quarantined()) {
-          manager_.suspend_study(name);  // drop the session, keep journal
-          StudySession& rebuilt = manager_.resume_study(name);
-          return "ok resumed " + name +
-                 " steps=" + std::to_string(rebuilt.steps()) +
-                 " health=" + health_name(rebuilt.health());
-        }
-        active->resume_from_suspend();
-        return "ok resumed " + name +
-               " steps=" + std::to_string(active->steps());
-      }
-      // No in-memory session. A replica left by a dead primary is promoted
-      // into the live journal first, so `resume` doubles as explicit
-      // failover.
-      if (cluster_.replicas != nullptr && cluster_.replicas->has(name) &&
-          manager_.find(name) == nullptr) {
-        cluster_.replicas->promote(name, manager_.journal_path(name));
-      }
-      StudySession& s = manager_.resume_study(name);
-      s.resume_from_suspend();
-      return "ok resumed " + name + " steps=" + std::to_string(s.steps());
-    }
-    StudySession* session = find_or_promote(name);
-    if (session == nullptr) {
-      return "err no active study '" + name + "' (resume it?)";
-    }
-    if (verb == "status") return status(*session);
-    if (verb == "best") return best(*session);
-    if (verb == "trace") return "ok " + format_trace(*session);
+    // A study without a session is already parked: suspend must not load it
+    // just to drop it.
     if (verb == "suspend") {
       manager_.suspend_study(name);
       return "ok suspended " + name;
     }
+    if (verb == "resume") {
+      // A QUARANTINED session is dropped and rebuilt from its journal below:
+      // the in-memory engine may be ahead of the durable history after a
+      // failed append, so flipping the state back would be wrong.
+      if (const StudySession* active = manager_.find(name);
+          active != nullptr && active->quarantined()) {
+        manager_.suspend_study(name);
+      }
+    }
+    StudySession* session = take_over(name);
+    if (session == nullptr) return "err no active study '" + name + "'";
+    if (verb == "resume") {
+      // Un-park a session the scheduler suspended (e.g. past its deadline):
+      // resume grants a fresh allowance.
+      session->resume_from_suspend();
+      return "ok resumed " + name +
+             " steps=" + std::to_string(session->steps()) +
+             " health=" + health_name(session->health());
+    }
+    if (verb == "status") return status(*session);
+    if (verb == "best") return best(*session);
+    if (verb == "trace") return "ok " + format_trace(*session);
     if (verb == "ask") return ask(*session);
     if (verb == "tell") return tell(*session, words);
     if (verb == "drive") return drive(*session, words);
@@ -355,16 +342,15 @@ std::string ServiceHandler::tell(StudySession& s,
          " steps=" + std::to_string(s.steps());
 }
 
-StudySession* ServiceHandler::find_or_promote(const std::string& name) {
-  if (StudySession* active = manager_.find(name)) return active;
-  if (cluster_.replicas == nullptr || !cluster_.replicas->has(name)) {
-    return nullptr;
+StudySession* ServiceHandler::take_over(const std::string& name) {
+  if (StudySession* live = manager_.find(name)) return live;
+  // Failover: a replica left by a dead primary becomes the live journal
+  // first. Journal replay then reconstructs the session, so every
+  // already-completed trial comes back without a live evaluation.
+  if (cluster_.replicas != nullptr && cluster_.replicas->has(name)) {
+    cluster_.replicas->promote(name, manager_.journal_path(name));
   }
-  // Failover: the first study-scoped request reaching a follower that only
-  // holds a replica promotes it — journal replay reconstructs the session,
-  // so every already-completed trial comes back without a live evaluation.
-  cluster_.replicas->promote(name, manager_.journal_path(name));
-  return &manager_.resume_study(name);
+  return manager_.find_or_resume(name);
 }
 
 std::string ServiceHandler::repl_append(
@@ -413,16 +399,8 @@ std::string ServiceHandler::promote(const std::string& name) {
            std::to_string(active->steps()) +
            " live_evals=" + std::to_string(active->live_evaluations());
   }
-  StudySession* s = find_or_promote(name);
-  if (s == nullptr) {
-    // No replica — maybe a plain suspended journal (promote then behaves
-    // like resume so clients need only one takeover verb).
-    try {
-      s = &manager_.resume_study(name);
-    } catch (const std::exception&) {
-      return "err no replica or journal for study '" + name + "'";
-    }
-  }
+  const StudySession* s = take_over(name);
+  if (s == nullptr) return "err no replica or journal for study '" + name + "'";
   // live_evals counts evaluations performed by THIS session since replay:
   // 0 proves the takeover re-served history from the journal instead of
   // re-running trials.

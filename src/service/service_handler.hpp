@@ -80,9 +80,10 @@ class ServiceHandler {
   std::string repl_snapshot(const std::vector<std::string>& words);
   std::string promote(const std::string& name);
   std::string cluster_info(const std::vector<std::string>& words);
-  // find() that falls back to promoting a local replica (failover) or
-  // resuming a suspended journal before giving up.
-  StudySession* find_or_promote(const std::string& name);
+  // The one way a request brings a study into memory: the live session,
+  // else a held replica promoted into the journal path, else the journal
+  // resumed (StudyManager::find_or_resume); nullptr when there is neither.
+  StudySession* take_over(const std::string& name);
   static std::string status(const StudySession& s);
   static std::string best(const StudySession& s);
   static std::string ask(StudySession& s);

@@ -116,8 +116,7 @@ StudySession& StudyManager::create_study(StudySpec spec) {
   FEDTUNE_CHECK_MSG(!StudyJournal::exists(journal_path(spec.name), opts_.env),
                     "study '" << spec.name
                               << "' already has a journal (resume it)");
-  FEDTUNE_CHECK_MSG(sessions_.size() < opts_.max_studies,
-                    "study capacity reached (" << opts_.max_studies << ")");
+  make_room();
   FEDTUNE_CHECK_MSG(spec.budget_rounds > 0, "budget must be positive");
   // An unbounded request inherits the tenant quota as its budget; an
   // explicit budget above the quota is rejected.
@@ -149,15 +148,33 @@ StudySession& StudyManager::resume_study(const std::string& name) {
   return adopt(recover_for_resume(name));
 }
 
-RecoveredStudy StudyManager::recover_for_resume(const std::string& name) const {
+StudySession* StudyManager::find_or_resume(const std::string& name) {
+  if (StudySession* live = find(name)) return live;
+  FEDTUNE_CHECK_MSG(valid_study_name(name),
+                    "invalid study name '" << name << "'");
+  if (!StudyJournal::exists(journal_path(name), opts_.env)) return nullptr;
+  return &resume_study(name);
+}
+
+void StudyManager::make_room() {
+  if (sessions_.size() < opts_.max_studies) return;
+  const auto done =
+      std::find_if(sessions_.begin(), sessions_.end(), [](const auto& entry) {
+        return entry.second->finished();
+      });
+  FEDTUNE_CHECK_MSG(done != sessions_.end(),
+                    "study capacity reached (" << opts_.max_studies << ")");
+  sessions_.erase(done);
+}
+
+RecoveredStudy StudyManager::recover_for_resume(const std::string& name) {
   // Same identity rules as create: a protocol-supplied name with '/' must
   // not escape the journal directory.
   FEDTUNE_CHECK_MSG(valid_study_name(name),
                     "invalid study name '" << name << "'");
   FEDTUNE_CHECK_MSG(sessions_.find(name) == sessions_.end(),
                     "study '" << name << "' already active");
-  FEDTUNE_CHECK_MSG(sessions_.size() < opts_.max_studies,
-                    "study capacity reached (" << opts_.max_studies << ")");
+  make_room();
   RecoveredStudy recovered =
       StudyJournal::recover(journal_path(name), opts_.env);
   FEDTUNE_CHECK_MSG(recovered.spec.name == name,
@@ -186,55 +203,38 @@ StudySession& StudyManager::adopt(RecoveredStudy recovered) {
 
 std::size_t StudyManager::resume_all() {
   std::size_t resumed = 0;
-  std::vector<std::string> names;
   static constexpr std::string_view kExt = ".journal";
+  // list_dir's sorted order keeps the pick deterministic when unfinished
+  // studies outnumber the slots.
   for (const std::string& fname :
        env_or_real(opts_.env).list_dir(opts_.journal_dir)) {
     if (fname.size() <= kExt.size() || !fname.ends_with(kExt)) continue;
-    names.push_back(fname.substr(0, fname.size() - kExt.size()));
-  }
-  // One unrecoverable journal (e.g. a create record that never got flushed
-  // before the crash) must not keep every healthy tenant down: report it
-  // and move on.
-  const auto report = [](const std::string& name, const std::exception& ex) {
-    std::cerr << "[study-manager] cannot resume '" << name
-              << "': " << ex.what() << "\n";
-  };
-  // Unfinished studies take the slots first: a finished one only answers
-  // queries, so it must not crowd out a study that still has work. Within
-  // each group the order is list_dir's sorted order (deterministic).
-  std::vector<std::string> finished;
-  for (const std::string& name : names) {
+    const std::string name = fname.substr(0, fname.size() - kExt.size());
     if (sessions_.find(name) != sessions_.end()) continue;
     if (sessions_.size() >= opts_.max_studies) break;
     try {
       RecoveredStudy recovered = recover_for_resume(name);
-      if (recovered.finished) {
-        finished.push_back(name);
-        continue;
-      }
+      // A finished study only answers queries: it comes back when a
+      // request names it (find_or_resume).
+      if (recovered.finished) continue;
       adopt(std::move(recovered));
       ++resumed;
     } catch (const std::exception& ex) {
-      report(name, ex);
-    }
-  }
-  for (const std::string& name : finished) {
-    if (sessions_.size() >= opts_.max_studies) break;
-    try {
-      resume_study(name);
-      ++resumed;
-    } catch (const std::exception& ex) {
-      report(name, ex);
+      // One unrecoverable journal (e.g. a create record that never got
+      // flushed before the crash) must not keep every healthy tenant down:
+      // report it and move on.
+      std::cerr << "[study-manager] cannot resume '" << name
+                << "': " << ex.what() << "\n";
     }
   }
   return resumed;
 }
 
 void StudyManager::suspend_study(const std::string& name) {
-  const auto it = sessions_.find(name);
-  FEDTUNE_CHECK_MSG(it != sessions_.end(), "no active study '" << name << "'");
-  sessions_.erase(it);  // the journal holds the full state
+  if (sessions_.erase(name) > 0) return;  // the journal holds the full state
+  FEDTUNE_CHECK_MSG(valid_study_name(name) &&
+                        StudyJournal::exists(journal_path(name), opts_.env),
+                    "no active study '" << name << "'");
 }
 
 StudySession* StudyManager::find(const std::string& name) {

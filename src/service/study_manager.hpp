@@ -12,10 +12,11 @@
 // control by deadline. External studies are never pumped; their tenants
 // drive them through ask/tell.
 //
-// Durability: every study lives in `journal_dir/<name>.journal`.
-// resume_study() (or resume_all() at daemon startup) reconstructs a study
-// from its journal; suspend_study() parks the in-memory session (the
-// journal already holds everything needed to come back).
+// Durability: every study lives in `journal_dir/<name>.journal`, and a
+// session is only a cache of it. suspend_study() drops the in-memory
+// session; find_or_resume() brings a study back on its next request.
+// resume_all() at daemon startup resumes only unfinished studies, so
+// startup cost and slot use do not grow with finished history.
 #pragma once
 
 #include <map>
@@ -70,18 +71,24 @@ class StudyManager {
   std::vector<std::string> pool_names() const;
 
   // Admits and creates a study. Throws std::invalid_argument when admission
-  // fails: invalid/duplicate name, tenant capacity reached, budget above
-  // quota, or unknown pool.
+  // fails: invalid/duplicate name, capacity reached (every slot held by an
+  // unfinished study), budget above quota, or unknown pool.
   StudySession& create_study(StudySpec spec);
 
   // Reconstructs a study from its journal (after a crash or suspend).
   StudySession& resume_study(const std::string& name);
-  // Resumes every journal found in journal_dir that is not already active,
-  // unfinished studies first, then finished ones while slots remain;
-  // returns how many studies were resumed (daemon startup).
+  // The on-demand path back into memory: the live session, else the
+  // study's journal resumed, else nullptr (no journal). Throws on an
+  // invalid name, a journal that cannot be recovered, or full capacity.
+  StudySession* find_or_resume(const std::string& name);
+  // Resumes every unfinished journal in journal_dir that is not already
+  // active, while slots remain; returns how many (daemon startup). Finished
+  // studies stay on disk until a request names them.
   std::size_t resume_all();
 
-  // Parks a study: drops the in-memory session, keeps the journal.
+  // Parks a study: drops the in-memory session, keeps the journal. A study
+  // with a journal but no session is already parked; throws when there is
+  // neither.
   void suspend_study(const std::string& name);
 
   StudySession* find(const std::string& name);
@@ -109,8 +116,12 @@ class StudyManager {
  private:
   // resume_study's two halves: the identity/capacity checks plus the
   // journal replay, then the session construction.
-  RecoveredStudy recover_for_resume(const std::string& name) const;
+  RecoveredStudy recover_for_resume(const std::string& name);
   StudySession& adopt(RecoveredStudy recovered);
+  // Frees a slot when every one is taken by dropping the first finished
+  // session (its journal fully describes it, so this is a suspend); throws
+  // when every slot holds unfinished work.
+  void make_room();
   // Per-study session options: the I/O plumbing plus the study's pool cache.
   SessionOptions session_options(const std::string& pool) const;
 

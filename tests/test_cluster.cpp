@@ -5,8 +5,9 @@
 // journal-sink byte-identity invariant (applying the mutation stream yields
 // a bitwise copy of the journal), promotion at every mutation boundary with
 // a bitwise-identical trace and zero live re-evaluations, snapshot
-// catch-up after an offset mismatch through a real JournalReplicator, and
-// socket end-to-end replication + failover against a live follower daemon.
+// catch-up after an offset mismatch through a real JournalReplicator,
+// promote's error reporting, and socket end-to-end replication + failover
+// against a live follower daemon.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -619,6 +620,53 @@ TEST_F(ClusterFixture, ReplVerbsEnforceTheContiguityContract) {
   EXPECT_EQ(info.rfind("ok", 0), 0u) << info;
   EXPECT_NE(info.find("primary="), std::string::npos) << info;
   EXPECT_EQ(handler.handle("cluster-info", &running).rfind("ok", 0), 0u);
+}
+
+// promote goes through the same takeover path as every study verb, so a
+// journal that cannot come back reports why: a full manager or an
+// unreadable journal is not "no replica or journal".
+TEST_F(ClusterFixture, PromoteReportsTheRealFailure) {
+  const std::string dir = fresh_dir("promote_err");
+  const Roster roster = Roster::parse("a h:1\nb h:2\n", "t");
+  const Placement placement(roster);
+  ReplicaStore store(dir);
+  service::ManagerOptions mopts = manager_options(dir);
+  mopts.max_studies = 1;
+  service::StudyManager mgr(mopts);
+  mgr.register_pool("p", pool_);
+  service::ServiceHandler handler(mgr, "p");
+  handler.set_cluster({&store, &placement, "b"});
+  bool running = true;
+
+  ASSERT_EQ(handler.handle("create-study parked external max-trials=4",
+                           &running),
+            "ok created parked");
+  ASSERT_EQ(handler.handle("suspend parked", &running),
+            "ok suspended parked");
+  ASSERT_EQ(handler.handle("create-study busy external max-trials=4",
+                           &running),
+            "ok created busy");
+  // The one slot holds unfinished work, so the local journal cannot load.
+  for (const char* verb : {"promote parked", "status parked"}) {
+    const std::string full = handler.handle(verb, &running);
+    EXPECT_EQ(full.rfind("err ", 0), 0u) << full;
+    EXPECT_NE(full.find("study capacity reached (1)"), std::string::npos)
+        << full;
+  }
+
+  ASSERT_EQ(handler.handle("suspend busy", &running), "ok suspended busy");
+  {
+    std::ofstream junk(dir + "/junk.journal", std::ios::binary);
+    junk << "not a journal at all";
+  }
+  const std::string unreadable = handler.handle("promote junk", &running);
+  EXPECT_EQ(unreadable.rfind("err ", 0), 0u) << unreadable;
+  EXPECT_NE(unreadable.find("unknown journal magic"), std::string::npos)
+      << unreadable;
+  EXPECT_EQ(handler.handle("promote ghost", &running),
+            "err no replica or journal for study 'ghost'");
+  const std::string promoted = handler.handle("promote parked", &running);
+  EXPECT_EQ(promoted.rfind("ok promoted parked steps=0", 0), 0u) << promoted;
 }
 
 // End-to-end over sockets: a primary's manager streams every journal

@@ -1,11 +1,10 @@
-// RandomSearch, GridSearch and TPE lifecycle + behavior tests driven by a
+// RandomSearch and TPE lifecycle + behavior tests driven by a
 // synthetic objective (no federated training involved).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
-#include "hpo/grid_search.hpp"
 #include "hpo/random_search.hpp"
 #include "hpo/tpe.hpp"
 
@@ -99,37 +98,6 @@ TEST(RandomSearch, DeterministicGivenSeed) {
     a.tell(*ta, 0.5);
     b.tell(*tb, 0.5);
   }
-}
-
-TEST(GridSearch, EnumeratesFullGrid) {
-  GridSearch gs(simple_space(), 3, 1, 1000, Rng(7));
-  EXPECT_EQ(gs.planned_evaluations(), 9u);  // 3 x 3
-  std::set<std::pair<double, double>> seen;
-  while (auto t = gs.ask()) {
-    seen.insert({t->config.at("x"), t->config.at("y")});
-    gs.tell(*t, bowl(t->config));
-  }
-  EXPECT_EQ(seen.size(), 9u);
-  EXPECT_TRUE(gs.done());
-}
-
-TEST(GridSearch, TruncatesAtMaxConfigs) {
-  GridSearch gs(simple_space(), 10, 1, 25, Rng(8));
-  EXPECT_EQ(gs.planned_evaluations(), 25u);
-}
-
-TEST(GridSearch, ChoiceDimsUseCategories) {
-  SearchSpace s;
-  s.add_choice("b", {8.0, 16.0});
-  GridSearch gs(s, 5, 1, 100, Rng(9));
-  // Choice dim contributes exactly its 2 categories.
-  EXPECT_EQ(gs.planned_evaluations(), 2u);
-}
-
-TEST(GridSearch, FindsBowlMinimumOnFineGrid) {
-  GridSearch gs(simple_space(), 11, 1, 1000, Rng(10));
-  const double best = run_to_completion(gs);
-  EXPECT_LT(best, 0.01);
 }
 
 TEST(TpeDensityModel, SplitsAndScoresTowardGoodRegion) {

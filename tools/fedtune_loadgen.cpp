@@ -352,8 +352,8 @@ class LoadGen {
                 .count());
         c.failover_pending = false;
         if (!ok) {
-          // status auto-promotes a replica, so an err means the failover
-          // target holds neither session, journal, nor replica. Replication
+          // status serves a study from its session, replica or journal,
+          // so an err means the failover target holds none. Replication
           // is asynchronous: a create acked by the primary in its last
           // instants may never have reached the follower. The study's
           // history died with the primary — recreate it from scratch.

@@ -20,7 +20,8 @@
 // pool (identical bytes on every start — the determinism contract in
 // src/README.md — so a daemon restarted after SIGKILL recovers its studies
 // against the exact same evaluation substrate), registers it, and resumes
-// every journal found in the journal directory. With --autodrive it pumps
+// the unfinished journals in the journal directory; a finished study is
+// loaded from its journal when a request names it. With --autodrive it pumps
 // one fair-share scheduler cycle per loop interval; without it, managed
 // studies advance only through explicit `drive` requests (tests).
 //
