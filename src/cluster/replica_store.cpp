@@ -25,37 +25,6 @@ obs::Counter& rejects_total() {
 
 }  // namespace
 
-std::string hex_encode(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out;
-}
-
-std::optional<std::string> hex_decode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
-
 ReplicaStore::ReplicaStore(std::string journal_dir, Env* env)
     : dir_(std::move(journal_dir) + "/replica"), env_(&env_or_real(env)) {
   env_->create_directories(dir_);

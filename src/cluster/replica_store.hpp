@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,14 +29,6 @@
 #include "common/env.hpp"
 
 namespace fedtune::cluster {
-
-// Journal bytes ride the wire hex-encoded in the repl-* verbs' argument
-// tail: the service handler splits request lines on whitespace and the text
-// shim is newline-framed, so raw journal bytes would be mangled. Lowercase
-// hex, two chars per byte.
-std::string hex_encode(std::string_view bytes);
-// nullopt on odd length or non-hex characters.
-std::optional<std::string> hex_decode(std::string_view hex);
 
 class ReplicaStore {
  public:

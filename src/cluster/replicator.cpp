@@ -4,8 +4,8 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
-#include "cluster/replica_store.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedtune::cluster {
@@ -18,13 +18,8 @@ double now_seconds() {
       .count();
 }
 
-// "ok acked=N" / "ok offset=N" → N; nullopt on anything else (including a
-// peer that answers with a well-formed but differently-shaped ok line).
-std::optional<std::uint64_t> parse_u64_field(std::string_view response,
-                                             std::string_view key) {
-  const std::string prefix = "ok " + std::string(key) + "=";
-  if (response.substr(0, prefix.size()) != prefix) return std::nullopt;
-  std::string_view digits = response.substr(prefix.size());
+// Digits only, at most 19 of them (no u64 overflow); nullopt otherwise.
+std::optional<std::uint64_t> parse_u64(std::string_view digits) {
   if (digits.empty() || digits.size() > 19) return std::nullopt;
   std::uint64_t value = 0;
   for (const char c : digits) {
@@ -32,6 +27,24 @@ std::optional<std::uint64_t> parse_u64_field(std::string_view response,
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return value;
+}
+
+// "ok acked=N" / "ok offset=N" → N; nullopt on anything else (including a
+// peer that answers with a well-formed but differently-shaped ok line).
+std::optional<std::uint64_t> parse_u64_field(std::string_view response,
+                                             std::string_view key) {
+  const std::string prefix = "ok " + std::string(key) + "=";
+  if (response.substr(0, prefix.size()) != prefix) return std::nullopt;
+  return parse_u64(response.substr(prefix.size()));
+}
+
+// "err repl offset mismatch have=N want=M" → N; nullopt when the have=
+// word is missing or malformed.
+std::optional<std::uint64_t> parse_mismatch_have(std::string_view response) {
+  const std::size_t at = response.find(" have=");
+  if (at == std::string_view::npos) return std::nullopt;
+  const std::string_view tail = response.substr(at + 6);
+  return parse_u64(tail.substr(0, tail.find(' ')));
 }
 
 }  // namespace
@@ -85,15 +98,12 @@ void JournalReplicator::on_mutation(const std::string& study,
     // Set once: the worker reads `member` while connecting, without mu_.
     if (fresh) peer.member = *target;
     StudyQueue& q = peer.queues[study];
-    if (m.kind == service::JournalMutation::Kind::kRewrite) {
-      // The whole file changed (initial sync, compaction): everything queued
-      // before it is obsolete.
-      q.items.clear();
-      ++q.generation;
-      q.items.push_back(Item{true, 0, m.bytes});
-    } else {
-      q.items.push_back(Item{false, m.offset, m.bytes});
-    }
+    const bool rewrite = m.kind == service::JournalMutation::Kind::kRewrite;
+    // A rewrite changes the whole file (initial sync, compaction):
+    // everything queued before it is obsolete.
+    if (rewrite) clear_queue_locked(q);
+    q.items.push_back(Item{rewrite, rewrite ? 0 : m.offset, m.bytes});
+    ++queued_frames_;
     update_queue_gauge_locked();
   }
   work_cv_.notify_one();
@@ -103,32 +113,30 @@ bool JournalReplicator::flush(double timeout_s) {
   std::unique_lock<std::mutex> lock(mu_);
   work_cv_.notify_all();
   return drain_cv_.wait_for(
-      lock, std::chrono::duration<double>(timeout_s), [this] {
-        if (stop_) return true;
-        for (const auto& [id, peer] : peers_) {
-          for (const auto& [study, q] : peer.queues) {
-            if (!q.items.empty()) return false;
-          }
-        }
-        return true;
-      });
+      lock, std::chrono::duration<double>(timeout_s),
+      [this] { return stop_ || queued_frames_ == 0; });
 }
 
 std::size_t JournalReplicator::pending_frames() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return queued_frames_;
+}
+
+std::size_t JournalReplicator::queued_studies() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) {
-    for (const auto& [study, q] : peer.queues) n += q.items.size();
-  }
+  for (const auto& [id, peer] : peers_) n += peer.queues.size();
   return n;
 }
 
 void JournalReplicator::update_queue_gauge_locked() {
-  std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) {
-    for (const auto& [study, q] : peer.queues) n += q.items.size();
-  }
-  queue_frames_->set(static_cast<double>(n));
+  queue_frames_->set(static_cast<double>(queued_frames_));
+}
+
+void JournalReplicator::clear_queue_locked(StudyQueue& q) {
+  queued_frames_ -= q.items.size();
+  q.items.clear();
+  ++q.generation;
 }
 
 void JournalReplicator::worker() {
@@ -139,14 +147,7 @@ void JournalReplicator::worker() {
     double next = now + 0.5;
     bool ready = false;
     for (auto& [id, peer] : peers_) {
-      bool has_work = false;
-      for (const auto& [study, q] : peer.queues) {
-        if (!q.items.empty()) {
-          has_work = true;
-          break;
-        }
-      }
-      if (!has_work) continue;
+      if (peer.queues.empty()) continue;
       if (peer.next_attempt_s <= now) {
         ready = true;
       } else {
@@ -163,15 +164,9 @@ void JournalReplicator::worker() {
     bool progressed = false;
     for (auto& [id, peer] : peers_) {
       if (stop_) break;
-      if (peer.next_attempt_s > now_seconds()) continue;
-      bool has_work = false;
-      for (const auto& [study, q] : peer.queues) {
-        if (!q.items.empty()) {
-          has_work = true;
-          break;
-        }
+      if (peer.queues.empty() || peer.next_attempt_s > now_seconds()) {
+        continue;
       }
-      if (!has_work) continue;
       progressed |= drain_peer(peer, lock);
     }
     update_queue_gauge_locked();
@@ -209,9 +204,8 @@ void JournalReplicator::disconnect(Peer& peer) {
 }
 
 void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
-  StudyQueue& q = peer.queues[study];
-  q.items.clear();
-  ++q.generation;
+  StudyQueue& q = peer.queues.at(study);
+  clear_queue_locked(q);
   std::string bytes;
   try {
     if (opts_.read_journal) bytes = opts_.read_journal(study);
@@ -223,9 +217,11 @@ void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
     // queue; the study's next mutation is a rewrite or a mismatching append
     // that triggers another resync.
     drops_total_->add(1);
+    peer.queues.erase(study);
     return;
   }
   q.items.push_back(Item{true, 0, std::move(bytes)});
+  ++queued_frames_;
 }
 
 void JournalReplicator::note_shipped(std::size_t frames, std::size_t bytes) {
@@ -255,25 +251,17 @@ bool JournalReplicator::drain_peer(Peer& peer,
     if (!ok || stop_) return ok ? true : fail();
   }
 
-  // Pick the first study with queued work.
-  std::string study;
-  for (auto& [name, q] : peer.queues) {
-    if (!q.items.empty()) {
-      study = name;
-      break;
-    }
-  }
-  if (study.empty()) return true;
-  StudyQueue& q = peer.queues[study];
+  // Every queue holds work (drained ones are erased), so the first in name
+  // order is the next to ship. `q` stays valid across the unlocks below:
+  // map nodes are stable and only this thread erases a queue.
+  if (peer.queues.empty()) return true;
+  const std::string study = peer.queues.begin()->first;
+  StudyQueue& q = peer.queues.begin()->second;
   const std::uint64_t gen = q.generation;
 
   // Total queue depth at ship time is the replication lag this batch
   // observed; the bench scrapes this histogram's p99.
-  std::size_t pending = 0;
-  for (const auto& [id2, p2] : peers_) {
-    for (const auto& [s2, q2] : p2.queues) pending += q2.items.size();
-  }
-  lag_frames_->observe(static_cast<double>(pending));
+  lag_frames_->observe(static_cast<double>(queued_frames_));
 
   const bool rewrite = q.items.front().rewrite;
   std::string batch;
@@ -297,8 +285,8 @@ bool JournalReplicator::drain_peer(Peer& peer,
       if (!offset.has_value()) {
         // The peer is up but speaks no repl-ack (version skew): drop the
         // queue instead of spinning against it.
-        peer.queues[study].items.clear();
-        ++peer.queues[study].generation;
+        clear_queue_locked(q);
+        peer.queues.erase(study);
         drops_total_->add(1);
         return true;
       }
@@ -332,7 +320,7 @@ bool JournalReplicator::drain_peer(Peer& peer,
   bool shipped = false;
   std::uint64_t acked_size = 0;
   bool mismatch = false;
-  std::uint64_t mismatch_have = 0;
+  std::optional<std::uint64_t> mismatch_have;
   lock.unlock();
   if (rewrite) {
     // Whole-file install, chunked so every frame stays under the payload
@@ -343,14 +331,14 @@ bool JournalReplicator::drain_peer(Peer& peer,
     shipped = true;
     while (off < batch.size() || off == 0) {
       const std::size_t n = std::min(chunk, batch.size() - off);
-      const std::string hex =
-          hex_encode(std::string_view(batch).substr(off, n));
+      const std::string_view bytes = std::string_view(batch).substr(off, n);
       const auto resp =
-          off == 0
-              ? peer.client.request("repl-snapshot", study + " " + hex)
-              : peer.client.request(
-                    "repl-append",
-                    study + " " + std::to_string(off) + " " + hex);
+          off == 0 ? peer.client.request("repl-snapshot",
+                                         (study + " ").append(bytes))
+                   : peer.client.request(
+                         "repl-append",
+                         (study + " " + std::to_string(off) + " ")
+                             .append(bytes));
       if (!resp.has_value() ||
           !parse_u64_field(*resp, "acked").has_value()) {
         shipped = false;
@@ -364,34 +352,30 @@ bool JournalReplicator::drain_peer(Peer& peer,
   } else {
     const auto resp = peer.client.request(
         "repl-append",
-        study + " " + std::to_string(base) + " " + hex_encode(batch));
+        study + " " + std::to_string(base) + " " + batch);
     if (resp.has_value()) {
       const auto acked = parse_u64_field(*resp, "acked");
       if (acked.has_value()) {
         shipped = true;
         acked_size = *acked;
       } else if (resp->rfind("err repl offset mismatch", 0) == 0) {
-        const std::size_t have_at = resp->find("have=");
         mismatch = true;
-        if (have_at != std::string::npos) {
-          std::uint64_t h = 0;
-          const char* p = resp->c_str() + have_at + 5;
-          while (*p >= '0' && *p <= '9') {
-            h = h * 10 + static_cast<std::uint64_t>(*p - '0');
-            ++p;
-          }
-          mismatch_have = h;
-        }
+        mismatch_have = parse_mismatch_have(*resp);
       }
     }
   }
   lock.lock();
   if (stop_) return true;
 
-  StudyQueue& q2 = peer.queues[study];
   if (mismatch) {
-    peer.acked[study] = mismatch_have;
-    if (q2.generation == gen) resync_study(peer, study);
+    // The follower's actual size when its reply says so; otherwise probe
+    // again before the next append. Either way the queue resyncs.
+    if (mismatch_have.has_value()) {
+      peer.acked[study] = *mismatch_have;
+    } else {
+      peer.acked.erase(study);
+    }
+    if (q.generation == gen) resync_study(peer, study);
     return true;
   }
   if (!shipped) return fail();
@@ -399,10 +383,13 @@ bool JournalReplicator::drain_peer(Peer& peer,
   peer.next_attempt_s = 0.0;
   peer.acked[study] = acked_size;
   note_shipped(batched_items, batch.size());
-  if (q2.generation == gen) {
-    for (std::size_t i = 0; i < batched_items && !q2.items.empty(); ++i) {
-      q2.items.pop_front();
-    }
+  // A rewrite queued while the batch was in flight replaced what it was
+  // cut from; otherwise the batch is still the head of the queue.
+  if (q.generation == gen) {
+    q.items.erase(q.items.begin(),
+                  q.items.begin() + static_cast<std::ptrdiff_t>(batched_items));
+    queued_frames_ -= batched_items;
+    if (q.items.empty()) peer.queues.erase(study);
   }
   return true;
 }

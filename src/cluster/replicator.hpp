@@ -8,7 +8,10 @@
 // created on an off-placement instance still ends up with a second copy on
 // its rightful owner. Mutations are enqueued per (peer, study) by the
 // appending thread (non-blocking; replication never holds up a durable
-// step) and a single background thread drains the queues:
+// step) and a single background thread drains the queues. A queue exists
+// only while it holds unshipped frames: the worker erases it once it
+// drains, so the cost of a mutation does not grow with the number of
+// studies ever replicated. Draining ships journal bytes raw:
 //
 //   - contiguous kAppend runs are coalesced into ONE repl-append frame of
 //     up to max_batch_bytes — the follower acks the whole batch with its
@@ -52,8 +55,8 @@ namespace fedtune::cluster {
 struct ReplicatorOptions {
   std::string self_id;  // this instance's roster id (required)
   std::size_t vnodes_per_member = 64;
-  // Raw journal bytes per repl-append/repl-snapshot frame (hex doubles this
-  // on the wire; stays far below the server's 1 MiB payload cap).
+  // Journal bytes per repl-append/repl-snapshot frame; they travel raw, so
+  // a frame stays far below the server's 1 MiB payload cap.
   std::size_t max_batch_bytes = 128 * 1024;
   double io_timeout_s = 5.0;       // connect + per-request socket timeout
   double backoff_base_s = 0.05;    // reconnect backoff (doubles, capped)
@@ -87,6 +90,8 @@ class JournalReplicator {
 
   // Unacked frames across all queues (the lag gauge's source).
   std::size_t pending_frames() const;
+  // Per-(peer, study) queues currently held; drained queues are erased.
+  std::size_t queued_studies() const;
 
   const Placement& placement() const { return placement_; }
   const ReplicatorOptions& options() const { return opts_; }
@@ -110,6 +115,8 @@ class JournalReplicator {
   struct Peer {
     ClusterMember member;
     net::Client client;  // blocking link, io_timeout_s on every call
+    // Studies with unshipped frames only; every queue here is non-empty.
+    // Only the worker erases one, and never while its batch is in flight.
     std::map<std::string, StudyQueue> queues;
     // Follower-confirmed journal size per study (repl-ack probe / batch
     // acks); nullopt until probed on this connection.
@@ -127,6 +134,8 @@ class JournalReplicator {
   void resync_study(Peer& peer, const std::string& study);
   void note_shipped(std::size_t frames, std::size_t bytes);
   void update_queue_gauge_locked();
+  // Empties `q` (keeping it in peer.queues) and bumps its generation.
+  void clear_queue_locked(StudyQueue& q);
 
   Placement placement_;
   ReplicatorOptions opts_;
@@ -135,6 +144,7 @@ class JournalReplicator {
   std::condition_variable work_cv_;   // producer -> worker
   std::condition_variable drain_cv_;  // worker -> flush()
   std::map<std::string, Peer> peers_;  // by member id
+  std::size_t queued_frames_ = 0;      // items across every peer's queues
   bool stop_ = false;
   std::thread worker_;
 

@@ -39,7 +39,9 @@
 namespace fedtune::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46544ECFu;  // CF 4E 54 46
-inline constexpr std::uint8_t kFrameVersion = 1;
+// Version 2: repl-* payloads end in raw journal bytes. Peers that encode
+// them differently must refuse each other at decode, not install them.
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 // Default max payload: comfortably above the largest legitimate response
 // (a long study's trace, a full metrics exposition), far below anything
@@ -66,12 +68,13 @@ enum class Opcode : std::uint8_t {
   kResume = 14,
   kDrive = 15,
   kTraceExport = 16,
-  // Cluster replication + failover (src/README.md §Cluster): repl-* frames
-  // carry journal bytes hex-encoded in the payload's argument tail, so the
-  // handler's whitespace splitting cannot cut them.
-  kReplAppend = 17,   // repl-append STUDY BASE_OFFSET HEXBYTES
+  // Cluster replication + failover (src/README.md §Cluster): repl-append
+  // and repl-snapshot payloads end in raw journal bytes, everything after
+  // the space that follows the last argument; the handler never splits
+  // them on whitespace.
+  kReplAppend = 17,   // repl-append STUDY BASE_OFFSET BYTES
   kReplAck = 18,      // repl-ack STUDY           (offset probe)
-  kReplSnapshot = 19, // repl-snapshot STUDY HEXBYTES (whole-file install)
+  kReplSnapshot = 19, // repl-snapshot STUDY BYTES (whole-file install)
   kPromote = 20,      // promote STUDY            (follower takeover)
   kClusterInfo = 21,  // cluster-info [STUDY]     (roster + placement)
   kHello = 31,

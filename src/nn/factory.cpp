@@ -1,6 +1,5 @@
 #include "nn/factory.hpp"
 
-#include "common/check.hpp"
 #include "nn/mlp.hpp"
 #include "nn/text_models.hpp"
 
@@ -13,13 +12,6 @@ std::unique_ptr<Model> make_default_model(const data::FederatedDataset& ds) {
   }
   return std::make_unique<TextMlp>(ds.vocab_size(), /*context=*/2,
                                    /*embed_dim=*/8, /*hidden_dim=*/24);
-}
-
-std::unique_ptr<Model> make_lstm_model(const data::FederatedDataset& ds) {
-  FEDTUNE_CHECK_MSG(ds.task == data::TaskKind::kNextToken,
-                    "LSTM model requires a next-token dataset");
-  return std::make_unique<LstmLm>(ds.vocab_size(), /*embed_dim=*/12,
-                                  /*hidden_dim=*/24);
 }
 
 }  // namespace fedtune::nn

@@ -1,8 +1,7 @@
 // Default model architectures per dataset, mirroring the paper's choices at
 // laptop scale: a 2-hidden-layer network for image classification (standing
 // in for the 2-layer CNN) and a windowed embedding LM for next-token
-// prediction (LstmLm is available for callers who want true BPTT — see
-// examples/lstm_language_model.cpp).
+// prediction.
 #pragma once
 
 #include <memory>
@@ -14,8 +13,5 @@ namespace fedtune::nn {
 
 // Fast default used by config pools and benches.
 std::unique_ptr<Model> make_default_model(const data::FederatedDataset& ds);
-
-// LSTM variant for next-token datasets (slower, higher fidelity).
-std::unique_ptr<Model> make_lstm_model(const data::FederatedDataset& ds);
 
 }  // namespace fedtune::nn

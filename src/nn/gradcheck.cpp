@@ -9,8 +9,7 @@ namespace fedtune::nn {
 
 GradCheckResult gradient_check(Model& model, const data::ClientData& client,
                                std::span<const std::size_t> idx, Rng& rng,
-                               std::size_t max_params, double step,
-                               double noise_floor) {
+                               std::size_t max_params, double step) {
   const std::size_t n = model.num_params();
   FEDTUNE_CHECK(n > 0);
 
@@ -43,9 +42,7 @@ GradCheckResult gradient_check(Model& model, const data::ClientData& client,
     const double numeric = (loss_plus - loss_minus) / (2.0 * step);
     const double a = static_cast<double>(analytic[pi]);
     const double rel =
-        (std::abs(a) < noise_floor && std::abs(numeric) < noise_floor)
-            ? 0.0
-            : std::abs(a - numeric) / (std::abs(a) + std::abs(numeric) + 1e-8);
+        std::abs(a - numeric) / (std::abs(a) + std::abs(numeric) + 1e-8);
     result.max_rel_error = std::max(result.max_rel_error, rel);
     sum_rel += rel;
   }

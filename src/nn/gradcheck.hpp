@@ -1,7 +1,7 @@
 // Finite-difference gradient checking for Model implementations.
 //
 // Used by the test suite to validate every hand-derived backward pass
-// (Linear/Embedding/LSTM/softmax-CE) end to end through real models.
+// (Linear/Embedding/softmax-CE) end to end through real models.
 #pragma once
 
 #include <cstddef>
@@ -19,15 +19,9 @@ struct GradCheckResult {
 // Compares analytic gradients against central finite differences on up to
 // `max_params` randomly chosen parameters (all params if 0). The model is
 // restored to its original parameter values afterwards.
-//
-// Parameters where both |analytic| and |numeric| fall below `noise_floor`
-// are counted as exact matches: with float32 forward passes the central
-// difference resolves gradients only down to ~eps(loss)/step, and below
-// that the quotient is quantization noise, not signal.
 GradCheckResult gradient_check(Model& model, const data::ClientData& client,
                                std::span<const std::size_t> idx, Rng& rng,
                                std::size_t max_params = 0,
-                               double step = 1e-3,
-                               double noise_floor = 0.0);
+                               double step = 1e-3);
 
 }  // namespace fedtune::nn

@@ -239,111 +239,4 @@ TextMlp::Count TextMlp::errors_per_position(
   return {wrong, total};
 }
 
-// ----------------------------------------------------------------- LstmLm --
-
-LstmLm::LstmLm(std::size_t vocab, std::size_t embed_dim, std::size_t hidden_dim)
-    : vocab_(vocab), embed_dim_(embed_dim), hidden_dim_(hidden_dim),
-      embed_(store_, vocab, embed_dim),
-      lstm_(store_, embed_dim, hidden_dim),
-      out_layer_(store_, hidden_dim, vocab) {}
-
-void LstmLm::init(Rng& rng) {
-  embed_.init(rng);
-  lstm_.init(rng);
-  out_layer_.init(rng);
-}
-
-std::unique_ptr<Model> LstmLm::clone_architecture() const {
-  return std::make_unique<LstmLm>(vocab_, embed_dim_, hidden_dim_);
-}
-
-double LstmLm::forward_backward(const data::ClientData& client,
-                                std::span<const std::size_t> idx) {
-  FEDTUNE_CHECK(!idx.empty());
-  FEDTUNE_CHECK(client.seq_len >= 2);
-  const std::size_t batch = idx.size();
-  const std::size_t T = client.seq_len - 1;  // predict tokens 1..L-1
-
-  // Embed inputs per step; collect labels t-major to match h_all below.
-  x_seq_.resize(T);
-  step_ids_.resize(batch);
-  labels_.resize(batch * T);
-  for (std::size_t t = 0; t < T; ++t) {
-    x_seq_[t].ensure_shape(batch, embed_dim_);
-    for (std::size_t r = 0; r < batch; ++r) {
-      const auto seq = client.sequence(idx[r]);
-      step_ids_[r] = seq[t];
-      labels_[t * batch + r] = seq[t + 1];
-    }
-    embed_.forward(step_ids_, x_seq_[t]);
-  }
-
-  lstm_.forward(x_seq_, cache_);
-
-  // Stack hidden states (t-major) and run one big output projection.
-  h_all_.ensure_shape(batch * T, hidden_dim_);
-  for (std::size_t t = 0; t < T; ++t) {
-    std::copy(cache_.h[t].flat().begin(), cache_.h[t].flat().end(),
-              h_all_.data() + t * batch * hidden_dim_);
-  }
-  out_layer_.forward(h_all_, logits_);
-  const double loss = ops::softmax_cross_entropy(logits_, labels_, grad_logits_);
-
-  out_layer_.backward(h_all_, grad_logits_, &grad_h_all_);
-  grad_h_seq_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    grad_h_seq_[t].ensure_shape(batch, hidden_dim_);
-    std::copy(grad_h_all_.data() + t * batch * hidden_dim_,
-              grad_h_all_.data() + (t + 1) * batch * hidden_dim_,
-              grad_h_seq_[t].data());
-  }
-  lstm_.backward(cache_, grad_h_seq_, &grad_x_seq_);
-
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t r = 0; r < batch; ++r) {
-      step_ids_[r] = client.sequence(idx[r])[t];
-    }
-    embed_.backward(step_ids_, grad_x_seq_[t]);
-  }
-  return loss;
-}
-
-std::pair<std::size_t, std::size_t> LstmLm::errors(
-    const data::ClientData& client) const {
-  const std::size_t n = client.num_examples();
-  if (n == 0) return {0, 0};
-  FEDTUNE_CHECK(client.seq_len >= 2);
-  const std::size_t T = client.seq_len - 1;
-  std::size_t wrong = 0, total = 0;
-  constexpr std::size_t kChunk = 128;
-  std::vector<std::int32_t> step_ids;
-  std::vector<std::int32_t> labels;
-  for (std::size_t start = 0; start < n; start += kChunk) {
-    const std::size_t end = std::min(n, start + kChunk);
-    const std::size_t batch = end - start;
-    step_ids.resize(batch);
-    labels.assign(batch * T, 0);
-    x_seq_.resize(T);
-    for (std::size_t t = 0; t < T; ++t) {
-      x_seq_[t].ensure_shape(batch, embed_dim_);
-      for (std::size_t r = 0; r < batch; ++r) {
-        const auto seq = client.sequence(start + r);
-        step_ids[r] = seq[t];
-        labels[t * batch + r] = seq[t + 1];
-      }
-      embed_.forward(step_ids, x_seq_[t]);
-    }
-    lstm_.forward(x_seq_, cache_);
-    h_all_.ensure_shape(batch * T, hidden_dim_);
-    for (std::size_t t = 0; t < T; ++t) {
-      std::copy(cache_.h[t].flat().begin(), cache_.h[t].flat().end(),
-                h_all_.data() + t * batch * hidden_dim_);
-    }
-    out_layer_.forward(h_all_, logits_);
-    wrong += ops::count_errors(logits_, labels);
-    total += labels.size();
-  }
-  return {wrong, total};
-}
-
 }  // namespace fedtune::nn

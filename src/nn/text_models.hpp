@@ -17,15 +17,11 @@
 //
 // The tanh is ops::tanh_forward, a port of glibc's tanhf compiled without
 // FP contraction, so model outputs do not depend on the host's libm.
-//
-// LstmLm: Embedding -> single-layer LSTM (BPTT) -> Linear over the vocab,
-// matching the paper's 2-layer-LSTM architecture family at laptop scale.
 #pragma once
 
 #include <vector>
 
 #include "nn/layers.hpp"
-#include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/param_store.hpp"
 
@@ -114,40 +110,6 @@ class TextMlp final : public Model {
   // Per-position copies the backward pass reads.
   mutable Matrix position_embedded_, position_act_;          // (P, .)
   mutable Matrix grad_logits_, grad_hidden_, grad_pre_, grad_embed_;
-};
-
-class LstmLm final : public Model {
- public:
-  LstmLm(std::size_t vocab, std::size_t embed_dim, std::size_t hidden_dim);
-
-  std::size_t num_params() const override { return store_.size(); }
-  std::span<float> params() override { return store_.values(); }
-  std::span<const float> params() const override { return store_.values(); }
-  std::span<float> grads() override { return store_.grads(); }
-  void zero_grad() override { store_.zero_grad(); }
-  void init(Rng& rng) override;
-
-  double forward_backward(const data::ClientData& client,
-                          std::span<const std::size_t> idx) override;
-  std::pair<std::size_t, std::size_t> errors(
-      const data::ClientData& client) const override;
-  std::unique_ptr<Model> clone_architecture() const override;
-
- private:
-  std::size_t vocab_;
-  std::size_t embed_dim_;
-  std::size_t hidden_dim_;
-  ParamStore store_;
-  Embedding embed_;
-  Lstm lstm_;
-  Linear out_layer_;
-
-  // Scratch.
-  mutable std::vector<Matrix> x_seq_;
-  mutable Lstm::Cache cache_;
-  mutable Matrix h_all_, logits_, grad_logits_, grad_h_all_;
-  mutable std::vector<Matrix> grad_h_seq_, grad_x_seq_;
-  mutable std::vector<std::int32_t> step_ids_, labels_;
 };
 
 }  // namespace fedtune::nn

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -21,7 +22,7 @@ namespace {
 // Strict u64 parse for wire integers (repl offsets, create-study counts):
 // digits only, bounded width. A bare std::stoul accepts "8x" as 8 and wraps
 // "-1" to SIZE_MAX, and it throws on garbage.
-std::optional<std::uint64_t> parse_u64(const std::string& word) {
+std::optional<std::uint64_t> parse_u64(std::string_view word) {
   if (word.empty() || word.size() > 19) return std::nullopt;
   std::uint64_t value = 0;
   for (const char c : word) {
@@ -29,6 +30,16 @@ std::optional<std::uint64_t> parse_u64(const std::string& word) {
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return value;
+}
+
+// Cuts "WORD REST" at its first space: WORD is non-empty and REST is
+// everything after that space, verbatim (possibly empty). nullopt when
+// there is no space or WORD is empty.
+std::optional<std::pair<std::string, std::string_view>> cut_word(
+    std::string_view s) {
+  const std::size_t sp = s.find(' ');
+  if (sp == 0 || sp == std::string_view::npos) return std::nullopt;
+  return std::pair{std::string(s.substr(0, sp)), s.substr(sp + 1)};
 }
 
 std::vector<std::string> split_words(const std::string& line) {
@@ -73,10 +84,16 @@ void ServiceHandler::flush_observability() {
 }
 
 std::string ServiceHandler::handle(const std::string& line, bool* running) {
-  const std::vector<std::string> words = split_words(line);
-  if (words.empty()) return "err empty request";
-  const std::string& verb = words[0];
   try {
+    // repl-append and repl-snapshot end in raw journal bytes, so they take
+    // their own arguments apart: whitespace splitting never runs over them.
+    if (const auto cut = cut_word(line)) {
+      if (cut->first == "repl-append") return repl_append(cut->second);
+      if (cut->first == "repl-snapshot") return repl_snapshot(cut->second);
+    }
+    const std::vector<std::string> words = split_words(line);
+    if (words.empty()) return "err empty request";
+    const std::string& verb = words[0];
     if (verb == "ping") return "ok pong";
     if (verb == "shutdown") {
       *running = false;
@@ -99,9 +116,7 @@ std::string ServiceHandler::handle(const std::string& line, bool* running) {
     if (verb == "trace-export") return trace_export(words);
     if (verb == "create-study") return create_study(words);
     if (verb == "cluster-info") return cluster_info(words);
-    if (verb == "repl-append") return repl_append(words);
     if (verb == "repl-ack") return repl_ack(words);
-    if (verb == "repl-snapshot") return repl_snapshot(words);
     if (words.size() < 2) return "err missing study name";
     const std::string& name = words[1];
     if (verb == "promote") return promote(name);
@@ -353,24 +368,26 @@ StudySession* ServiceHandler::take_over(const std::string& name) {
   return manager_.find_or_resume(name);
 }
 
-std::string ServiceHandler::repl_append(
-    const std::vector<std::string>& words) {
+std::string ServiceHandler::repl_append(std::string_view args) {
   if (cluster_.replicas == nullptr) return "err not a cluster member";
-  if (words.size() != 4) {
-    return "err usage: repl-append STUDY BASE_OFFSET HEXBYTES";
+  const auto study = cut_word(args);
+  const auto offset = study.has_value() ? cut_word(study->second)
+                                        : std::nullopt;
+  if (!offset.has_value()) {
+    return "err usage: repl-append STUDY BASE_OFFSET BYTES";
   }
-  const auto base = parse_u64(words[2]);
-  if (!base.has_value()) return "err bad offset '" + words[2] + "'";
-  const auto bytes = cluster::hex_decode(words[3]);
-  if (!bytes.has_value()) return "err bad hex payload";
+  const std::string& name = study->first;
+  if (!valid_study_name(name)) return "err invalid study name";
+  const auto base = parse_u64(offset->first);
+  if (!base.has_value()) return "err bad offset '" + offset->first + "'";
   // A study actively served here must not also be overwritten as a replica
   // (split brain: two primaries for one study). Reject; the sender's
   // placement or the operator has to resolve who owns it.
-  if (manager_.find(words[1]) != nullptr) {
-    return "err study '" + words[1] + "' is active here (dual primary?)";
+  if (manager_.find(name) != nullptr) {
+    return "err study '" + name + "' is active here (dual primary?)";
   }
   const std::uint64_t size =
-      cluster_.replicas->append(words[1], *base, *bytes);
+      cluster_.replicas->append(name, *base, offset->second);
   return "ok acked=" + std::to_string(size);
 }
 
@@ -380,16 +397,16 @@ std::string ServiceHandler::repl_ack(const std::vector<std::string>& words) {
   return "ok offset=" + std::to_string(cluster_.replicas->size(words[1]));
 }
 
-std::string ServiceHandler::repl_snapshot(
-    const std::vector<std::string>& words) {
+std::string ServiceHandler::repl_snapshot(std::string_view args) {
   if (cluster_.replicas == nullptr) return "err not a cluster member";
-  if (words.size() != 3) return "err usage: repl-snapshot STUDY HEXBYTES";
-  const auto bytes = cluster::hex_decode(words[2]);
-  if (!bytes.has_value()) return "err bad hex payload";
-  if (manager_.find(words[1]) != nullptr) {
-    return "err study '" + words[1] + "' is active here (dual primary?)";
+  const auto study = cut_word(args);
+  if (!study.has_value()) return "err usage: repl-snapshot STUDY BYTES";
+  const std::string& name = study->first;
+  if (!valid_study_name(name)) return "err invalid study name";
+  if (manager_.find(name) != nullptr) {
+    return "err study '" + name + "' is active here (dual primary?)";
   }
-  const std::uint64_t size = cluster_.replicas->install(words[1], *bytes);
+  const std::uint64_t size = cluster_.replicas->install(name, study->second);
   return "ok acked=" + std::to_string(size);
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/study_manager.hpp"
@@ -75,9 +76,10 @@ class ServiceHandler {
   std::string trace_export(const std::vector<std::string>& words);
   std::string cache_stats();
   std::string create_study(const std::vector<std::string>& words);
-  std::string repl_append(const std::vector<std::string>& words);
+  // Both take the argument tail verbatim: it ends in raw journal bytes.
+  std::string repl_append(std::string_view args);
   std::string repl_ack(const std::vector<std::string>& words);
-  std::string repl_snapshot(const std::vector<std::string>& words);
+  std::string repl_snapshot(std::string_view args);
   std::string promote(const std::string& name);
   std::string cluster_info(const std::vector<std::string>& words);
   // The one way a request brings a study into memory: the live session,

@@ -18,7 +18,7 @@ namespace {
 // register kernel: its width N is a template parameter, it keeps a block of
 // whole rows of C in registers across all of k, and it reads A and B in
 // place (nt transposes the leading n - n % kNr rows of B once per call).
-// Wider calls (the LSTM gates, and tests) run gemm_tiled: cache-tiled 6x16
+// Wider calls run gemm_tiled: cache-tiled 6x16
 // and 4x16 micro-kernels over packed B panels, with a row-streaming edge
 // path for the last m % 6 < 4 rows and the n % 16 column tail.
 //
@@ -596,24 +596,6 @@ void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
   const std::size_t n = y.size();
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) gi[i] = go[i] * (1.0f - yp[i] * yp[i]);
-}
-
-void sigmoid(const Matrix& x, Matrix& y) {
-  y.ensure_shape(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y.flat()[i] = 1.0f / (1.0f + std::exp(-x.flat()[i]));
-  }
-}
-
-void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in) {
-  FEDTUNE_CHECK(y.same_shape(grad_out));
-  grad_in.ensure_shape(y.rows(), y.cols());
-  const float* __restrict yp = y.data();
-  const float* __restrict go = grad_out.data();
-  float* __restrict gi = grad_in.data();
-  const std::size_t n = y.size();
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) gi[i] = go[i] * yp[i] * (1.0f - yp[i]);
 }
 
 // softmax_rows lives in exp_exact.cpp with its exp.

@@ -73,8 +73,8 @@ float dot(std::span<const float> a, std::span<const float> b);
 float l2_norm(std::span<const float> x);
 
 // Elementwise activations, forward and backward. Backward computes
-// grad_in = grad_out * f'(x) given the *activation output* y (for relu/tanh/
-// sigmoid the derivative is expressible in y).
+// grad_in = grad_out * f'(x) given the *activation output* y (for relu and
+// tanh the derivative is expressible in y).
 void relu(const Matrix& x, Matrix& y);
 void relu_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 // tanh_forward is a vectorized port of glibc's fdlibm tanhf (tanh_exact.cpp,
@@ -83,8 +83,6 @@ void relu_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 // not depend on the host's libm.
 void tanh_forward(const Matrix& x, Matrix& y);
 void tanh_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
-void sigmoid(const Matrix& x, Matrix& y);
-void sigmoid_backward(const Matrix& y, const Matrix& grad_out, Matrix& grad_in);
 
 // y[i] = exp(x[i]); x and y must not overlap. A vectorized port of glibc
 // 2.36's expf (exp_exact.cpp, compiled with the default FP contraction):

@@ -6,8 +6,9 @@
 // a bitwise copy of the journal), promotion at every mutation boundary with
 // a bitwise-identical trace and zero live re-evaluations, snapshot
 // catch-up after an offset mismatch through a real JournalReplicator,
-// promote's error reporting, and socket end-to-end replication + failover
-// against a live follower daemon.
+// raw journal bytes through the repl-* verbs, erasure of drained replicator
+// queues, promote's error reporting, and socket end-to-end replication +
+// failover against a live follower daemon.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -199,33 +200,6 @@ TEST(PlacementTest, ReplicaTargetPairsPrimaryAndFollower) {
     ASSERT_TRUE(from_follower.has_value());
     EXPECT_EQ(from_follower->id, sp.primary.id);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Hex codec
-
-TEST(HexCodec, RoundTripsAllByteValues) {
-  std::string bytes;
-  for (int i = 0; i < 256; ++i) bytes.push_back(static_cast<char>(i));
-  const std::string hex = hex_encode(bytes);
-  ASSERT_EQ(hex.size(), bytes.size() * 2);
-  // Lowercase, and never whitespace — the verb grammar splits on spaces.
-  for (const char c : hex) {
-    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
-  }
-  const auto back = hex_decode(hex);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, bytes);
-  EXPECT_EQ(hex_encode(""), "");
-  ASSERT_TRUE(hex_decode("").has_value());
-}
-
-TEST(HexCodec, RejectsOddLengthAndNonHex) {
-  EXPECT_FALSE(hex_decode("a").has_value());
-  EXPECT_FALSE(hex_decode("abc").has_value());
-  EXPECT_FALSE(hex_decode("zz").has_value());
-  EXPECT_FALSE(hex_decode("0g").has_value());
-  EXPECT_FALSE(hex_decode(" 00").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -568,25 +542,21 @@ TEST_F(ClusterFixture, ReplVerbsEnforceTheContiguityContract) {
   handler.set_cluster({&store, &placement, "b"});
 
   EXPECT_EQ(handler.handle("repl-ack ghost", &running), "ok offset=0");
-  EXPECT_EQ(handler.handle("repl-append ghost 0 " + hex_encode("frame-1"),
-                           &running),
+  EXPECT_EQ(handler.handle("repl-append ghost 0 frame-1", &running),
             "ok acked=7");
-  EXPECT_EQ(handler.handle("repl-append ghost 7 " + hex_encode("frame-2"),
-                           &running),
+  EXPECT_EQ(handler.handle("repl-append ghost 7 frame-2", &running),
             "ok acked=14");
   // Duplicate, lost, and reordered frames answer with the actual size.
-  const std::string dup = handler.handle(
-      "repl-append ghost 7 " + hex_encode("frame-2"), &running);
+  const std::string dup = handler.handle("repl-append ghost 7 frame-2",
+                                         &running);
   EXPECT_EQ(dup.rfind("err repl offset mismatch have=14", 0), 0u) << dup;
-  EXPECT_EQ(handler
-                .handle("repl-append ghost 99 " + hex_encode("x"), &running)
+  EXPECT_EQ(handler.handle("repl-append ghost 99 x", &running)
                 .rfind("err repl offset mismatch", 0),
             0u);
   EXPECT_EQ(handler.handle("repl-ack ghost", &running), "ok offset=14");
 
   // Snapshot replaces wholesale and resets the offset.
-  EXPECT_EQ(handler.handle("repl-snapshot ghost " + hex_encode("fresh"),
-                           &running),
+  EXPECT_EQ(handler.handle("repl-snapshot ghost fresh", &running),
             "ok acked=5");
   EXPECT_EQ(handler.handle("repl-ack ghost", &running), "ok offset=5");
 
@@ -596,9 +566,9 @@ TEST_F(ClusterFixture, ReplVerbsEnforceTheContiguityContract) {
   EXPECT_EQ(
       handler.handle("repl-append ghost zero aa", &running).rfind("err", 0),
       0u);
-  EXPECT_EQ(
-      handler.handle("repl-append ghost 5 nothex!", &running).rfind("err", 0),
-      0u);
+  // Bytes are whatever follows the offset, so any tail is a valid payload.
+  EXPECT_EQ(handler.handle("repl-append ghost 5 nothex!", &running),
+            "ok acked=12");
   EXPECT_EQ(handler.handle("repl-snapshot ghost", &running).rfind("err", 0),
             0u);
 
@@ -608,11 +578,9 @@ TEST_F(ClusterFixture, ReplVerbsEnforceTheContiguityContract) {
       handler.handle("create-study act external max-trials=2", &running)
           .rfind("ok", 0),
       0u);
-  const std::string dual =
-      handler.handle("repl-append act 0 " + hex_encode("x"), &running);
+  const std::string dual = handler.handle("repl-append act 0 x", &running);
   EXPECT_NE(dual.find("dual primary"), std::string::npos) << dual;
-  const std::string dual2 =
-      handler.handle("repl-snapshot act " + hex_encode("x"), &running);
+  const std::string dual2 = handler.handle("repl-snapshot act x", &running);
   EXPECT_NE(dual2.find("dual primary"), std::string::npos) << dual2;
 
   // cluster-info answers placement for a study and the roster without one.
@@ -620,6 +588,43 @@ TEST_F(ClusterFixture, ReplVerbsEnforceTheContiguityContract) {
   EXPECT_EQ(info.rfind("ok", 0), 0u) << info;
   EXPECT_NE(info.find("primary="), std::string::npos) << info;
   EXPECT_EQ(handler.handle("cluster-info", &running).rfind("ok", 0), 0u);
+}
+
+// repl-append and repl-snapshot carry raw journal bytes: everything after
+// the separating space lands in the replica verbatim, including spaces,
+// newlines, NULs and the frame magic's first byte, and a zero-byte
+// snapshot installs an empty replica.
+TEST_F(ClusterFixture, ReplVerbsCarryRawBytes) {
+  const std::string dir = fresh_dir("raw");
+  const Roster roster = Roster::parse("a h:1\nb h:2\n", "t");
+  const Placement placement(roster);
+  ReplicaStore store(dir);
+  service::StudyManager mgr(manager_options(dir));
+  mgr.register_pool("p", pool_);
+  service::ServiceHandler handler(mgr, "p");
+  handler.set_cluster({&store, &placement, "b"});
+  bool running = true;
+
+  const std::string head("x \n\0\xCF y ", 8);
+  const std::string tail(" \0\xCF\n\n  z", 8);
+  EXPECT_EQ(handler.handle("repl-snapshot s " + head, &running),
+            "ok acked=8");
+  EXPECT_EQ(handler.handle("repl-append s 8 " + tail, &running),
+            "ok acked=16");
+  EXPECT_EQ(read_file_or_empty(store.replica_path("s")), head + tail);
+
+  EXPECT_EQ(handler.handle("repl-snapshot s ", &running), "ok acked=0");
+  EXPECT_TRUE(store.has("s"));
+  EXPECT_EQ(handler.handle("repl-ack s", &running), "ok offset=0");
+  EXPECT_EQ(handler.handle("repl-append s 0  ", &running), "ok acked=1");
+  EXPECT_EQ(read_file_or_empty(store.replica_path("s")), " ");
+
+  // The study name becomes a file name, so it must be a valid study id.
+  EXPECT_EQ(handler.handle("repl-snapshot ../s x", &running),
+            "err invalid study name");
+  EXPECT_EQ(handler.handle("repl-append s\n 0 x", &running),
+            "err invalid study name");
+  EXPECT_EQ(read_file_or_empty(store.replica_path("s")), " ");
 }
 
 // promote goes through the same takeover path as every study verb, so a
@@ -770,6 +775,65 @@ TEST_F(ClusterFixture, OffsetMismatchTriggersChunkedSnapshotCatchUp) {
             "ok offset=" + std::to_string(journal.size()));
   EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("behind")),
             journal);
+}
+
+// A queue lives only while its study has unshipped frames: after thousands
+// of studies drain through a live follower, the primary holds no queue.
+TEST_F(ClusterFixture, DrainedQueuesAreErased) {
+  const std::string dirB = fresh_dir("drain_b");
+  ClusterNode follower(manager_options(dirB), pool_);
+  const std::uint16_t port = follower.listen();
+  ASSERT_NE(port, 0);
+  const Roster roster(std::vector<ClusterMember>{
+      {"a", "127.0.0.1", 1}, {"b", "127.0.0.1", port}});
+  const Placement placement(roster);
+  follower.enable_cluster(&placement, "b");
+  follower.start();
+
+  ReplicatorOptions ropts;
+  ropts.self_id = "a";
+  ropts.read_journal = [](const std::string&) { return std::string(); };
+  JournalReplicator replicator(roster, ropts);
+
+  const auto name = [](int i) {
+    return std::string("s").append(std::to_string(i));
+  };
+  constexpr int kStudies = 3000;
+  for (int i = 0; i < kStudies; ++i) {
+    const std::string study = name(i);
+    JournalMutation create;
+    create.kind = JournalMutation::Kind::kRewrite;
+    create.bytes = "HEADER|";
+    replicator.on_mutation(study, create);
+    JournalMutation step;
+    step.kind = JournalMutation::Kind::kAppend;
+    step.offset = create.bytes.size();
+    step.bytes = study;
+    replicator.on_mutation(study, step);
+  }
+  ASSERT_TRUE(replicator.flush(60.0));
+  EXPECT_EQ(replicator.pending_frames(), 0u);
+  EXPECT_EQ(replicator.queued_studies(), 0u);
+  EXPECT_EQ(follower.replicas().list().size(),
+            static_cast<std::size_t>(kStudies));
+  for (const int i : {0, kStudies / 2, kStudies - 1}) {
+    const std::string study = name(i);
+    EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path(study)),
+              "HEADER|" + study);
+  }
+
+  // A drained study that mutates again gets a fresh queue, and it drains
+  // against the follower offset acked before its queue was erased.
+  JournalMutation more;
+  more.kind = JournalMutation::Kind::kAppend;
+  more.offset = std::string("HEADER|s0").size();
+  more.bytes = "|more";
+  replicator.on_mutation("s0", more);
+  ASSERT_TRUE(replicator.flush(20.0));
+  EXPECT_EQ(replicator.queued_studies(), 0u);
+  EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("s0")),
+            "HEADER|s0|more");
+  replicator.stop();
 }
 
 // Steady-state streaming: appends flow through the replicator in batched

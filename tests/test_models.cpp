@@ -80,20 +80,6 @@ TEST(TextMlp, GradientCheck) {
   EXPECT_LT(r.max_rel_error, 5e-2);
 }
 
-TEST(LstmLm, GradientCheck) {
-  Rng rng(4);
-  LstmLm model(6, 4, 5);
-  model.init(rng);
-  const data::ClientData client = small_token_client(rng, 4, 5, 6);
-  const auto idx = iota_idx(client.num_examples());
-  // float32 storage limits the central difference to gradients above
-  // ~eps(loss)/step ≈ 1e-4; below that the quotient is quantization noise.
-  const GradCheckResult r =
-      gradient_check(model, client, idx, rng, 60, 1e-3, /*noise_floor=*/1e-4);
-  EXPECT_LT(r.max_rel_error, 0.15) << "mean: " << r.mean_rel_error;
-  EXPECT_LT(r.mean_rel_error, 2e-2);
-}
-
 TEST(MlpClassifier, OverfitsTinyDataset) {
   Rng rng(5);
   MlpClassifier model(4, {16}, 3);
@@ -120,33 +106,6 @@ TEST(MlpClassifier, OverfitsTinyDataset) {
   }
   EXPECT_LT(last_loss, 0.1);
   EXPECT_EQ(model.errors(client).first, 0u);
-}
-
-TEST(LstmLm, LearnsDeterministicSequence) {
-  Rng rng(6);
-  LstmLm model(4, 6, 8);
-  model.init(rng);
-  // One repeating pattern 0,1,2,3,0,1,2,3 — fully predictable.
-  data::ClientData client;
-  client.seq_len = 8;
-  for (int s = 0; s < 4; ++s) {
-    for (int t = 0; t < 8; ++t) {
-      client.tokens.push_back(static_cast<std::int32_t>((s + t) % 4));
-    }
-  }
-  const auto idx = iota_idx(4);
-  for (int step = 0; step < 400; ++step) {
-    model.zero_grad();
-    model.forward_backward(client, idx);
-    auto params = model.params();
-    const auto grads = model.grads();
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      params[i] -= 0.5f * grads[i];
-    }
-  }
-  const auto [wrong, total] = model.errors(client);
-  EXPECT_EQ(total, 4u * 7u);
-  EXPECT_LT(static_cast<double>(wrong) / static_cast<double>(total), 0.05);
 }
 
 TEST(Model, CloneArchitectureIsIndependent) {
