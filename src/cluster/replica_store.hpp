@@ -10,8 +10,8 @@
 // strict contiguity), so a lost, duplicated, or reordered repl-append is
 // rejected with the replica's actual size instead of silently corrupting
 // the copy; the primary answers a mismatch by shipping a fresh snapshot.
-// install() replaces the whole replica (snapshot catch-up, journal
-// compaction on the primary); promote() renames the replica into the live
+// install() replaces the whole replica (snapshot catch-up after create,
+// resume or a mismatch on the primary); promote() renames the replica into the live
 // journal directory, after which the normal recover/replay path takes over
 // — CRC framing in the journal itself catches any torn tail.
 //

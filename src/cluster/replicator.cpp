@@ -99,8 +99,8 @@ void JournalReplicator::on_mutation(const std::string& study,
     if (fresh) peer.member = *target;
     StudyQueue& q = peer.queues[study];
     const bool rewrite = m.kind == service::JournalMutation::Kind::kRewrite;
-    // A rewrite changes the whole file (initial sync, compaction):
-    // everything queued before it is obsolete.
+    // A rewrite replaces the whole file (create, resume): everything
+    // queued before it is obsolete.
     if (rewrite) clear_queue_locked(q);
     q.items.push_back(Item{rewrite, rewrite ? 0 : m.offset, m.bytes});
     ++queued_frames_;
@@ -213,7 +213,7 @@ void JournalReplicator::resync_study(Peer& peer, const std::string& study) {
     bytes.clear();
   }
   if (bytes.empty()) {
-    // Journal unreadable right now (mid-compaction, study deleted). Drop the
+    // Journal unreadable right now (I/O error, study deleted). Drop the
     // queue; the study's next mutation is a rewrite or a mismatching append
     // that triggers another resync.
     drops_total_->add(1);

@@ -53,17 +53,18 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// v2 of the journal format (v2 appended the eval-cache/limit spec fields).
-// Bump the low word on any layout change — recovery rejects unknown magic
-// rather than misreading stale journals.
-constexpr std::uint64_t kJournalMagic = 0xfed75d0a00000002ULL;
+// v3 of the journal format (v2 appended the eval-cache/limit spec fields;
+// v3 dropped the snapshot record). Bump the low word on any layout change —
+// recovery rejects unknown magic rather than misreading stale journals. A
+// v2 journal holding a snapshot frame would otherwise be truncated at it
+// (an unknown record type is a corruption boundary).
+constexpr std::uint64_t kJournalMagic = 0xfed75d0a00000003ULL;
 
 enum RecordType : std::uint8_t {
   kCreate = 1,
   kAsk = 2,
   kTell = 3,
   kSelection = 4,
-  kSnapshot = 5,
 };
 
 // Frames larger than this are treated as corruption (a torn length word
@@ -304,14 +305,6 @@ void StudyJournal::append_selection(std::int64_t best_id,
   append_frame(payload.bytes());
 }
 
-void StudyJournal::append_snapshot(std::span<const core::TrialRecord> steps) {
-  BufferWriter payload;
-  payload.write_u8(kSnapshot);
-  payload.write_u64(steps.size());
-  for (const core::TrialRecord& rec : steps) write_record(payload, rec);
-  append_frame(payload.bytes());
-}
-
 RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
   obs::TraceSpan span("journal.recover", "journal");
   const auto t0 = std::chrono::steady_clock::now();
@@ -393,19 +386,6 @@ RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
           study.finished = true;
           break;
         }
-        case kSnapshot: {
-          if (!have_spec) throw std::invalid_argument("snapshot before create");
-          const std::uint64_t n = r.read_u64();
-          std::vector<core::TrialRecord> steps;
-          steps.reserve(n);
-          for (std::uint64_t i = 0; i < n; ++i) {
-            steps.push_back(read_record(r));
-          }
-          consumed();
-          study.steps = std::move(steps);
-          pending_ask.reset();
-          break;
-        }
         default:
           throw std::invalid_argument("unknown record type");
       }
@@ -428,22 +408,6 @@ RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
   }
   recover_seconds().observe(seconds_since(t0));
   return study;
-}
-
-void StudyJournal::compact(const std::string& path, Env* env,
-                           bool sync_on_commit) {
-  Env& e = env_or_real(env);
-  const RecoveredStudy study = recover(path, env);
-  const std::string tmp = path + ".tmp";
-  e.remove_file(tmp);
-  {
-    StudyJournal journal = create(tmp, study.spec, env, sync_on_commit);
-    journal.append_snapshot(study.steps);
-    if (study.finished) {
-      journal.append_selection(study.best_id, study.best_full_error);
-    }
-  }
-  e.rename_file(tmp, path);
 }
 
 }  // namespace fedtune::service

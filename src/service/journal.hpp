@@ -25,8 +25,10 @@
 //   tell      — the step's outcome (trial id, noisy objective, full error,
 //               cumulative rounds); completes the preceding ask
 //   selection — the tuner's final pick; marks the study finished
-//   snapshot  — all completed TrialRecords in one compact record; written
-//               by compact(), replaces the ask/tell prefix
+//
+// The journal is append-only: {create, (ask, tell)*, selection?}. Nothing
+// is ever rewritten in place, so a finished journal's last 25 bytes are its
+// selection frame (u32 size 17, u32 crc, u8 type 4, i64 id, f64 error).
 //
 // I/O goes through Env (common/env.hpp): write failures surface as IoError
 // (transient vs persistent — the study layer's retry/quarantine ladder keys
@@ -52,18 +54,12 @@
 // transient error is safe. If the heal itself fails the journal marks itself
 // broken (good() == false) and every later append throws a persistent
 // IoError; the on-disk prefix stays recoverable.
-//
-// Compaction: compact() atomically rewrites the journal as
-// {create, snapshot[, selection]} — bounded file size and recovery work for
-// arbitrarily long studies. The whole sequence (recover, tmp write, rename)
-// is idempotent: it can crash or fail at any point and simply be re-run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -75,10 +71,10 @@ namespace fedtune::service {
 
 // One byte-level journal change, for replication (cluster/replicator.hpp):
 // kAppend carries one durable frame and the file offset it starts at;
-// kRewrite carries the whole file (emitted after create, resume, and
-// compaction — any point where the file is not a pure extension of what a
-// follower may hold). A follower that applies the stream at matching
-// offsets holds a byte-identical copy of the journal.
+// kRewrite carries the whole file (emitted after create and resume — any
+// point where the file is not a pure extension of what a follower may
+// hold). A follower that applies the stream at matching offsets holds a
+// byte-identical copy of the journal.
 struct JournalMutation {
   enum class Kind : std::uint8_t { kAppend, kRewrite };
   Kind kind = Kind::kAppend;
@@ -127,12 +123,6 @@ class StudyJournal {
   static StudyJournal append_to(const std::string& path, Env* env = nullptr,
                                 bool sync_on_commit = false);
 
-  // Atomically rewrites the journal as {create, snapshot[, selection]}:
-  // writes `path`.tmp, then renames over `path`. The journal must not be
-  // open for appending. Safe to re-run after any partial failure.
-  static void compact(const std::string& path, Env* env = nullptr,
-                      bool sync_on_commit = false);
-
   static bool exists(const std::string& path, Env* env = nullptr);
 
   // Appends one record as a single frame-sized Env append (plus an fsync
@@ -141,12 +131,11 @@ class StudyJournal {
   void append_ask(const hpo::Trial& trial);
   void append_tell(const core::TrialRecord& record);
   void append_selection(std::int64_t best_id, double best_full_error);
-  void append_snapshot(std::span<const core::TrialRecord> steps);
 
   // Installs the replication sink; pass {} to detach. The sink sees every
   // subsequent durable frame as a kAppend at its offset. It does NOT see
-  // bytes already on disk — callers that attach mid-life (create, resume,
-  // reopen after compact) emit a kRewrite of the current file themselves
+  // bytes already on disk — callers that attach mid-life (create, resume)
+  // emit a kRewrite of the current file themselves
   // (StudySession::wire_journal_sink).
   void set_sink(JournalSink sink) { sink_ = std::move(sink); }
 

@@ -183,9 +183,9 @@ void StudySession::wire_journal_sink() {
     options_.journal_sink(spec_.name, m);
   });
   // The journal existed before the sink did (create wrote the header +
-  // create record; resume/compact reopened a full file): ship the whole
-  // file once so followers hold the byte-identical prefix every later
-  // kAppend extends. Compaction keeps journals small, so this stays cheap.
+  // create record; resume reopened a full file): ship the whole file once
+  // so followers hold the byte-identical prefix every later kAppend
+  // extends.
   JournalMutation m;
   m.kind = JournalMutation::Kind::kRewrite;
   try {
@@ -216,13 +216,9 @@ std::size_t StudySession::cache_misses() const {
 
 void StudySession::quarantine(const IoError& e, const char* what) {
   last_error_ = std::string(what) + ": " + e.what();
-  // A failure in post-finish hygiene (compaction) must not demote a study
-  // whose selection is already durable.
-  if (state_ != StudyState::kFinished) {
-    state_ = StudyState::kQuarantined;
-    quarantines_counter_->add(1);
-    obs::TraceRecorder::global().instant(trace_name_, "quarantine");
-  }
+  state_ = StudyState::kQuarantined;
+  quarantines_counter_->add(1);
+  obs::TraceRecorder::global().instant(trace_name_, "quarantine");
 }
 
 void StudySession::with_journal_retry(const char* what,
@@ -262,30 +258,6 @@ void StudySession::finish() {
                                final_.best_full_error);
   });
   state_ = StudyState::kFinished;
-  try {
-    compact_journal();
-  } catch (const IoError&) {
-    // The selection is durable and the study is finished; the uncompacted
-    // journal stays recoverable. quarantine() already noted the error.
-  }
-}
-
-void StudySession::maybe_compact() {
-  if (++steps_since_compact_ >= compact_every_) compact_journal();
-}
-
-void StudySession::compact_journal() {
-  journal_.reset();  // close the append handle before the rename
-  // The whole sequence (recover, tmp write, rename, reopen) is idempotent,
-  // so a transient failure at any point can simply retry it from the top.
-  with_journal_retry("compact", [&] {
-    StudyJournal::compact(journal_path_, options_.env,
-                          options_.sync_on_commit);
-    journal_ = StudyJournal::append_to(journal_path_, options_.env,
-                                       options_.sync_on_commit);
-  });
-  wire_journal_sink();  // the rewrite invalidated every follower offset
-  steps_since_compact_ = 0;
 }
 
 bool StudySession::run_one_step() {
@@ -314,7 +286,6 @@ bool StudySession::run_one_step() {
       epsilon_gauge_->set(e->accountant().spent());
     }
     if (session_->done()) finish();
-    else maybe_compact();
   } catch (const IoError&) {
     // Quarantined (state/last_error already record why). Absorb the throw:
     // the scheduler treats it as "no progress" and other tenants keep
@@ -371,7 +342,6 @@ core::TrialRecord StudySession::tell(int trial_id, double objective) {
   // the trial cap reached); surface completion without waiting for the next
   // ask.
   if (session_->done()) finish();
-  else maybe_compact();
   return record;
 }
 

@@ -11,7 +11,7 @@
 //             evaluator, and incumbent state bitwise. The session then
 //             continues exactly where the crashed process stopped.
 //   finished — the tuner is done (or the budget is exhausted); the final
-//             selection is journaled and the journal compacted.
+//             selection is journaled as the journal's last record.
 //
 // Managed studies evaluate trials on a registered candidate pool
 // (PoolResources) through the pure-stream NoisyEvaluator; external studies
@@ -127,8 +127,8 @@ struct SessionOptions {
   // Replication feed (cluster/replicator.hpp): every byte-level journal
   // mutation, labeled with the study name. Invoked on the appending thread
   // (the scheduler runs sessions on a pool — sinks must be thread-safe) and
-  // must not throw. Fresh/resumed sessions and reopen-after-compact emit a
-  // kRewrite of the whole file so a follower can sync from any point.
+  // must not throw. Fresh and resumed sessions emit a kRewrite of the whole
+  // file so a follower can sync from any point.
   std::function<void(const std::string& study, const JournalMutation&)>
       journal_sink;
 };
@@ -212,18 +212,12 @@ class StudySession {
   // live pick with its recorded full error.
   std::optional<std::pair<hpo::Trial, double>> best() const;
 
-  // Journal hygiene: rewrite as {create, snapshot[, selection]} — called
-  // automatically every `compact_every` steps and at finish.
-  void compact_journal();
-  void set_compact_every(std::size_t steps) { compact_every_ = steps; }
-
  private:
   void init_engine();
   void init_metrics();
   void finish();
-  void maybe_compact();
-  // Attaches options_.journal_sink to the (re)opened journal and emits a
-  // whole-file kRewrite so followers re-sync after create/resume/compact.
+  // Attaches options_.journal_sink to the opened journal and emits a
+  // whole-file kRewrite so followers re-sync after create/resume.
   void wire_journal_sink();
 
   // Runs `fn` (a journal write) under the retry policy: transient IoErrors
@@ -243,8 +237,6 @@ class StudySession {
   std::optional<StudyJournal> journal_;
   StudyState state_ = StudyState::kRunning;
   core::TuneResult final_;  // valid once finished
-  std::size_t compact_every_ = 64;
-  std::size_t steps_since_compact_ = 0;
   std::size_t slices_used_ = 0;
   std::size_t io_retries_ = 0;
   std::string last_error_;

@@ -138,7 +138,6 @@ StudySession& StudyManager::create_study(StudySpec spec) {
   auto session = std::make_unique<StudySession>(
       std::move(spec), std::move(study_pool), journal_path(name),
       session_options(pool_name));
-  session->set_compact_every(opts_.compact_every_steps);
   StudySession& ref = *session;
   sessions_[name] = std::move(session);
   return ref;
@@ -195,7 +194,6 @@ StudySession& StudyManager::adopt(RecoveredStudy recovered) {
   auto session = std::make_unique<StudySession>(
       std::move(recovered), std::move(study_pool), journal_path(name),
       session_options(pool_name));
-  session->set_compact_every(opts_.compact_every_steps);
   StudySession& ref = *session;
   sessions_[name] = std::move(session);
   return ref;

@@ -37,8 +37,6 @@ struct ManagerOptions {
       std::numeric_limits<std::size_t>::max();
   // Fair-share budget (fresh training rounds) per study per pump() cycle.
   std::size_t rounds_per_slice = 27;
-  // Journal compaction cadence handed to each session.
-  std::size_t compact_every_steps = 64;
   // Run each cycle's slices concurrently on ThreadPool::global().
   bool parallel = true;
   // I/O plumbing handed to each session (study.hpp SessionOptions): the Env

@@ -2,8 +2,9 @@
 // line-order independence, spread, single-member stability under roster
 // growth), the ReplicaStore's strict-contiguity append contract (loss,
 // reorder and duplication rejected with the replica's actual size), the
-// journal-sink byte-identity invariant (applying the mutation stream yields
-// a bitwise copy of the journal), promotion at every mutation boundary with
+// journal-sink byte-identity invariant (one whole-file rewrite per study,
+// then appends only, whose replay yields a bitwise copy of the journal and
+// ends in the selection frame), promotion at every mutation boundary with
 // a bitwise-identical trace and zero live re-evaluations, snapshot
 // catch-up after an offset mismatch through a real JournalReplicator,
 // raw journal bytes through the repl-* verbs, erasure of drained replicator
@@ -15,6 +16,8 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -28,6 +31,7 @@
 #include "cluster/placement.hpp"
 #include "cluster/replica_store.hpp"
 #include "cluster/replicator.hpp"
+#include "common/crc32.hpp"
 #include "core/config_pool.hpp"
 #include "hpo/search_space.hpp"
 #include "net/client.hpp"
@@ -476,12 +480,30 @@ TEST_F(ClusterFixture, SinkStreamIsByteIdenticalToTheJournal) {
       run_reference_study(manager_options(dir), dir, &mutations, &mu);
   EXPECT_EQ(trace.rfind("ok", 0), 0u);
   ASSERT_FALSE(mutations.empty());
-  // The first mutation is the wire-up rewrite of the fresh journal.
+  // The journal is append-only: the wire-up rewrite of the fresh journal is
+  // the one rewrite, and every later mutation appends at the running size.
   EXPECT_EQ(mutations.front().kind, JournalMutation::Kind::kRewrite);
+  std::uint64_t size = mutations.front().bytes.size();
+  for (std::size_t i = 1; i < mutations.size(); ++i) {
+    ASSERT_EQ(mutations[i].kind, JournalMutation::Kind::kAppend) << i;
+    EXPECT_EQ(mutations[i].offset, size) << i;
+    size += mutations[i].bytes.size();
+  }
   const std::string replayed = apply_prefix(mutations, mutations.size());
   const std::string journal = read_file_or_empty(dir + "/m1.journal");
   ASSERT_FALSE(journal.empty());
   EXPECT_EQ(replayed, journal);
+
+  // A finished journal ends in its 25-byte selection frame: u32 size 17,
+  // u32 crc of the payload, then type byte 4 (selection).
+  ASSERT_GE(journal.size(), 25u);
+  const char* frame = journal.data() + journal.size() - 25;
+  std::uint32_t payload_size = 0, crc = 0;
+  std::memcpy(&payload_size, frame, sizeof(payload_size));
+  std::memcpy(&crc, frame + 4, sizeof(crc));
+  EXPECT_EQ(payload_size, 17u);
+  EXPECT_EQ(crc, crc32(frame + 8, 17));
+  EXPECT_EQ(frame[8], 4);
 }
 
 // The headline bitwise matrix: promote a replica truncated at EVERY
@@ -872,14 +894,15 @@ TEST_F(ClusterFixture, AppendStreamAndRewriteSupersession) {
   EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("s")),
             expect);
 
-  // A compaction-style rewrite replaces everything queued and on disk.
+  // A rewrite (create, resume, resync) replaces everything queued and on
+  // disk.
   JournalMutation rw;
   rw.kind = JournalMutation::Kind::kRewrite;
-  rw.bytes = "COMPACTED";
+  rw.bytes = "REWRITTEN";
   replicator.on_mutation("s", rw);
   ASSERT_TRUE(replicator.flush(20.0));
   EXPECT_EQ(read_file_or_empty(follower.replicas().replica_path("s")),
-            "COMPACTED");
+            "REWRITTEN");
   replicator.stop();
 }
 

@@ -602,15 +602,13 @@ TEST_F(FaultFixture, TornTailFuzzEveryByteOffsetOfLastTwoFrames) {
 // ---------------------------------------------------- crash-point matrix
 
 // One managed-study workload, shared by the reference run and every forked
-// crash run: create the study and step it to completion. Compaction every 4
-// steps puts compact-path writes inside the matrix too.
+// crash run: create the study and step it to completion.
 void drive_workload(const StudySpec& spec, const std::string& dir,
                     std::shared_ptr<const PoolResources> pool, Env* env,
                     const std::string& eval_cache_dir = {}) {
   ManagerOptions opts;
   opts.journal_dir = dir;
   opts.rounds_per_slice = 9;
-  opts.compact_every_steps = 4;
   opts.parallel = false;
   opts.env = env;
   opts.sync_on_commit = true;  // fsync boundaries join the matrix
