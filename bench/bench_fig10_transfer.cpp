@@ -6,7 +6,7 @@
 //
 // Warm-start arm (the operational version of the same question): phase A
 // tunes dataset A through the evaluation-cache path the service uses — a
-// core::TuningSession with pure per-eval streams and a MemoryEvalStore
+// core::TuningSession with a MemoryEvalStore
 // installed via set_eval_cache, each miss committed after its step — so
 // every outcome lands in the store keyed by config fingerprint. The arm then
 // compares, at equal trial budget on dataset B:
@@ -71,8 +71,7 @@ ArmResult tune_arm(const std::vector<hpo::Config>& configs,
   auto tuner = sim::make_pool_tuner(sim::Method::kRandomSearch, configs, view,
                                     trials, Rng(seed));
   core::PoolTrialRunner runner(view);
-  core::TuningSession session(*tuner, runner, core::DriverOptions{},
-                              /*pure_eval_streams=*/true);
+  core::TuningSession session(*tuner, runner, core::DriverOptions{});
   if (store != nullptr) session.set_eval_cache(store, kSignature);
   while (session.step().has_value()) session.commit_cache_insert();
   const core::TuneResult result = session.finalize();

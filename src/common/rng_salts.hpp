@@ -56,9 +56,9 @@ inline constexpr std::uint64_t kRunnerLatency = 0x726c6174ULL;    // "rlat"
 inline constexpr std::uint64_t kRunnerScheduler = 0x72736368ULL;  // "rsch"
 
 // --- core/noisy_evaluator.cpp ----------------------------------------------
-// Pure per-evaluation streams (service studies): evaluation i draws from
-// eval_rng.split(kEvalCall + i) instead of the advancing engine, so journal
-// replay can fast-forward the eval counter without re-running evaluations.
+// Per-evaluation streams: evaluation i draws from eval_rng.split(kEvalCall +
+// i), so journal replay can fast-forward the eval counter without re-running
+// evaluations, and paper figures and service studies draw the same streams.
 inline constexpr std::uint64_t kEvalCall = 0x6576616cULL;  // "eval"
 
 // --- common/env.cpp (FaultInjectingEnv) ------------------------------------

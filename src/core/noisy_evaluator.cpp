@@ -25,11 +25,9 @@ std::string noise_source_label(const NoiseModel& noise) {
 
 NoisyEvaluator::NoisyEvaluator(const NoiseModel& noise,
                                std::vector<double> client_weights,
-                               std::size_t planned_evals, Rng rng,
-                               bool pure_eval_streams)
+                               std::size_t planned_evals, Rng rng)
     : noise_(noise), client_weights_(std::move(client_weights)),
-      planned_evals_(planned_evals), rng_(rng),
-      pure_eval_streams_(pure_eval_streams), accountant_(noise.epsilon) {
+      planned_evals_(planned_evals), rng_(rng), accountant_(noise.epsilon) {
   FEDTUNE_CHECK(!client_weights_.empty());
   FEDTUNE_CHECK(planned_evals_ > 0);
   FEDTUNE_CHECK(noise_.is_full_eval() ||
@@ -62,17 +60,7 @@ double NoisyEvaluator::full_error(
   return num / den;
 }
 
-double NoisyEvaluator::evaluate(std::span<const double> all_client_errors) {
-  if (pure_eval_streams_) {
-    Rng call_rng = rng_.split(salts::kEvalCall + evals_);
-    return evaluate_with(all_client_errors, call_rng);
-  }
-  return evaluate_with(all_client_errors, rng_);
-}
-
 void NoisyEvaluator::skip_evaluation() {
-  FEDTUNE_CHECK_MSG(pure_eval_streams_,
-                    "skip_evaluation requires pure per-eval streams");
   if (noise_.is_private()) {
     accountant_.charge(noise_.epsilon / static_cast<double>(planned_evals_));
   }
@@ -81,8 +69,6 @@ void NoisyEvaluator::skip_evaluation() {
 }
 
 void NoisyEvaluator::serve_cached() {
-  FEDTUNE_CHECK_MSG(pure_eval_streams_,
-                    "serve_cached requires pure per-eval streams");
   if (noise_.is_private()) {
     accountant_.charge(noise_.epsilon / static_cast<double>(planned_evals_));
   }
@@ -91,9 +77,9 @@ void NoisyEvaluator::serve_cached() {
   cached_counter_->add(1);
 }
 
-double NoisyEvaluator::evaluate_with(std::span<const double> all_client_errors,
-                                     Rng& rng) {
+double NoisyEvaluator::evaluate(std::span<const double> all_client_errors) {
   FEDTUNE_CHECK(all_client_errors.size() == client_weights_.size());
+  Rng rng = rng_.split(salts::kEvalCall + evals_);
   const std::size_t n = all_client_errors.size();
   const std::size_t s = noise_.is_full_eval()
                             ? n

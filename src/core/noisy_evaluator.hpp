@@ -33,34 +33,30 @@ class NoisyEvaluator {
   // `planned_evals` is M, the number of evaluation calls the tuning run will
   // make (per-eval budget = epsilon / M).
   //
-  // `pure_eval_streams` changes how randomness is drawn: evaluation i uses
-  // the derived stream rng.split(salts::kEvalCall + i) instead of the
-  // advancing shared engine, making each evaluation a pure function of
-  // (rng seed, eval index). Service studies run in this mode so journal
-  // replay can skip_evaluation() past already-recorded evaluations and the
-  // next live evaluation still draws the exact stream an uninterrupted run
-  // would have. Default off: the legacy sequential stream is what every
-  // existing experiment trajectory was recorded under.
+  // Evaluation i draws from its own stream rng.split(salts::kEvalCall + i),
+  // so each evaluation is a pure function of (rng seed, eval index). Journal
+  // replay can therefore skip_evaluation() past already-recorded evaluations
+  // and the next live evaluation still draws the exact stream an
+  // uninterrupted run would have; paper figures and service studies draw
+  // the same streams.
   NoisyEvaluator(const NoiseModel& noise, std::vector<double> client_weights,
-                 std::size_t planned_evals, Rng rng,
-                 bool pure_eval_streams = false);
+                 std::size_t planned_evals, Rng rng);
 
   // One noisy evaluation of a model whose per-client errors are given over
   // the FULL eval pool (the evaluator does the subsampling).
   double evaluate(std::span<const double> all_client_errors);
 
-  // Journal replay (pure streams only): advances the evaluation counter and
-  // privacy accounting past one already-recorded evaluation without
-  // consuming its stream. last_sample() is unspecified afterwards.
+  // Journal replay: advances the evaluation counter and privacy accounting
+  // past one already-recorded evaluation without consuming its stream.
+  // last_sample() is unspecified afterwards.
   void skip_evaluation();
 
-  // Evaluation-cache accounting (pure streams only). A cache hit is a real
-  // evaluation for budget purposes — it advances the eval counter and
-  // charges the privacy accountant exactly like skip_evaluation() (the
-  // cached value was privatized by its first writer; serving it re-uses
-  // that one release, but this study's plan M already paid for the slot) —
-  // it just never computes anything. A recorded miss only bumps the
-  // counter pair used for hit-rate reporting.
+  // Evaluation-cache accounting. A cache hit is a real evaluation for budget
+  // purposes — it advances the eval counter and charges the privacy accountant
+  // exactly like skip_evaluation() (the cached value was privatized by its
+  // first writer; serving it re-uses that one release, but this study's plan M
+  // already paid for the slot) — it just never computes anything. A recorded
+  // miss only bumps the counter pair used for hit-rate reporting.
   void serve_cached();
   void record_cache_miss() { ++cache_misses_; }
   std::size_t cache_hits() const { return cache_hits_; }
@@ -84,13 +80,10 @@ class NoisyEvaluator {
   }
 
  private:
-  double evaluate_with(std::span<const double> all_client_errors, Rng& rng);
-
   NoiseModel noise_;
   std::vector<double> client_weights_;
   std::size_t planned_evals_;
   Rng rng_;
-  bool pure_eval_streams_;
   privacy::BasicCompositionAccountant accountant_;
   std::vector<std::size_t> last_sample_;
   std::size_t evals_ = 0;

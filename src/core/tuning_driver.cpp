@@ -24,7 +24,7 @@ hpo::TopKSelector make_dp_top_k_selector(double epsilon_total,
 // ----------------------------------------------------------- TuningSession --
 
 TuningSession::TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
-                             const DriverOptions& opts, bool pure_eval_streams)
+                             const DriverOptions& opts)
     : tuner_(&tuner), runner_(&runner), opts_(opts) {
   Rng rng(opts.seed);
   Rng eval_rng = rng.split(1);
@@ -47,7 +47,14 @@ TuningSession::TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
   }
 
   evaluator_.emplace(eval_noise, runner.client_weights(),
-                     planned_evaluations(), eval_rng, pure_eval_streams);
+                     planned_evaluations(), eval_rng);
+}
+
+TuningSession::TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
+                             const DriverOptions& opts, bool pure_eval_streams)
+    : TuningSession(tuner, runner, opts) {
+  FEDTUNE_CHECK_MSG(pure_eval_streams,
+                    "the sequential evaluation stream has been removed");
 }
 
 TuningSession::TuningSession(hpo::Tuner& tuner, const DriverOptions& opts)

@@ -72,8 +72,8 @@ TuneResult run_tuning(hpo::Tuner& tuner, TrialRunner& runner,
 // At most one trial is outstanding at a time. run_tuning() is this class
 // run to completion; its trajectories are unchanged.
 //
-// Replay contract: with pure per-eval RNG streams (see NoisyEvaluator), the
-// entire session state — tuner, evaluator, incumbent bookkeeping — is a
+// Replay contract: evaluation i draws its own RNG stream (see NoisyEvaluator),
+// so the entire session state — tuner, evaluator, incumbent bookkeeping — is a
 // pure function of (tuner construction, DriverOptions, the sequence of
 // completed TrialRecords). replay() re-derives the tuner's ask stream,
 // verifies it matches the journaled trial, fast-forwards the evaluator, and
@@ -82,10 +82,12 @@ TuneResult run_tuning(hpo::Tuner& tuner, TrialRunner& runner,
 class TuningSession {
  public:
   // Managed mode. `tuner` and `runner` must outlive the session.
-  // `pure_eval_streams` selects the replayable evaluator mode (see
-  // NoisyEvaluator); run_tuning uses the legacy sequential streams.
   TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
-                const DriverOptions& opts, bool pure_eval_streams = false);
+                const DriverOptions& opts);
+  // The same, for perfbench/src/figures.cpp, which still passes the retired
+  // evaluation-stream flag as `true`. Rejects `false`: there is one stream.
+  TuningSession(hpo::Tuner& tuner, TrialRunner& runner,
+                const DriverOptions& opts, bool pure_eval_streams);
   // External mode: objectives come from the caller.
   TuningSession(hpo::Tuner& tuner, const DriverOptions& opts);
 
@@ -122,17 +124,16 @@ class TuningSession {
   // replay matches what the uninterrupted run had observed.
   void replay(const TrialRecord& record, bool reexecute_runner = false);
 
-  // Evaluation cache (managed mode with pure eval streams only). When set,
-  // run_outstanding() consults the store before scheduling an evaluation:
-  // a hit at (fingerprint, target_rounds, noise_signature) is applied as
-  // the recorded outcome with ZERO rounds consumed and zero live
-  // evaluations (the evaluator charges budget/privacy as if it evaluated —
-  // see NoisyEvaluator::serve_cached). A miss evaluates live and stages the
-  // outcome; the caller commits it with commit_cache_insert() once the tell
-  // is durable (see the contract note in hpo/tuner.hpp — inserting before
-  // durability would let an unjournaled step leak into the shared store and
-  // change hit/miss decisions across a crash). Driverless callers commit
-  // immediately after each step.
+  // Evaluation cache (managed mode only). When set, run_outstanding() consults
+  // the store before scheduling an evaluation: a hit at (fingerprint,
+  // target_rounds, noise_signature) is applied as the recorded outcome with
+  // ZERO rounds consumed and zero live evaluations (the evaluator charges
+  // budget/privacy as if it evaluated — see NoisyEvaluator::serve_cached). A
+  // miss evaluates live and stages the outcome; the caller commits it with
+  // commit_cache_insert() once the tell is durable (see the contract note in
+  // hpo/tuner.hpp — inserting before durability would let an unjournaled step
+  // leak into the shared store and change hit/miss decisions across a crash).
+  // Driverless callers commit immediately after each step.
   void set_eval_cache(EvalStore* store, std::uint64_t noise_signature);
   // Inserts the staged (key, outcome) of the last miss, if any. Idempotent.
   void commit_cache_insert();

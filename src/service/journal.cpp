@@ -205,21 +205,13 @@ StudyJournal StudyJournal::create(const std::string& path,
   }
 }
 
-StudyJournal StudyJournal::append_to(const std::string& path, Env* env,
+StudyJournal StudyJournal::append_to(const std::string& path,
+                                     std::uint64_t durable_bytes, Env* env,
                                      bool sync_on_commit) {
   Env& e = env_or_real(env);
   FEDTUNE_CHECK_MSG(e.exists(path), "no journal at " << path);
-  const std::uint64_t size = e.file_size(path);
-  std::uint64_t magic = 0;
-  if (size >= sizeof(magic)) {
-    const std::string bytes = e.read_file(path);
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
-  }
-  FEDTUNE_CHECK_MSG(magic == kJournalMagic, "not a study journal: " << path);
-  // The caller ran recover() first, so everything on disk is a valid frame
-  // prefix — the current size is the durable boundary.
   return StudyJournal(e, path, e.open_writable(path, Env::WriteMode::kAppend),
-                      size, sync_on_commit);
+                      durable_bytes, sync_on_commit);
 }
 
 void StudyJournal::append_frame(const std::string& payload) {
@@ -402,6 +394,7 @@ RecoveredStudy StudyJournal::recover(const std::string& path, Env* env) {
   // frame boundary. A dangling ask stays in the file (it is a valid frame);
   // recovery simply ignores it and the resumed tuner re-issues the trial.
   study.truncated_bytes = bytes.size() - valid_end;
+  study.durable_bytes = valid_end;
   if (study.truncated_bytes > 0) {
     e.truncate_file(path, valid_end);
     recover_truncated_bytes_total().add(study.truncated_bytes);

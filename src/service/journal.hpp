@@ -1,13 +1,13 @@
 // StudyJournal — the per-study write-ahead log that makes service studies
 // crash-recoverable.
 //
-// Tuners, the noisy evaluator (in pure-stream mode), and pool runners are
-// pure functions of (spec seed, tell sequence) — see the replay contract in
-// hpo/tuner.hpp and core/tuning_driver.hpp. The journal therefore persists
-// exactly that: the study spec (create record) and every completed step's
-// outcome (ask + tell records). Recovery reconstructs the study by
-// re-running the tuner against the journaled tells; the result is bitwise
-// identical to a run that never stopped.
+// Tuners, the noisy evaluator, and pool runners are pure functions of (spec
+// seed, tell sequence) — see the replay contract in hpo/tuner.hpp and
+// core/tuning_driver.hpp. The journal therefore persists exactly that: the
+// study spec (create record) and every completed step's outcome (ask + tell
+// records). Recovery reconstructs the study by re-running the tuner against
+// the journaled tells; the result is bitwise identical to a run that never
+// stopped.
 //
 // File layout (little-endian, common/serialize.hpp):
 //
@@ -99,6 +99,8 @@ struct RecoveredStudy {
   // Bytes dropped from the tail (0 for a clean shutdown) — torn frames,
   // trailing garbage, or a dangling ask's frame.
   std::uint64_t truncated_bytes = 0;
+  // Size of the valid prefix left on disk: where the next append goes.
+  std::uint64_t durable_bytes = 0;
 };
 
 class StudyJournal {
@@ -119,8 +121,11 @@ class StudyJournal {
   // unreadable.
   static RecoveredStudy recover(const std::string& path, Env* env = nullptr);
 
-  // Opens an existing journal for appending (call after recover()).
-  static StudyJournal append_to(const std::string& path, Env* env = nullptr,
+  // Opens an existing journal for appending at recover()'s
+  // `durable_bytes`; reads nothing, since recover() validated the file.
+  static StudyJournal append_to(const std::string& path,
+                                std::uint64_t durable_bytes,
+                                Env* env = nullptr,
                                 bool sync_on_commit = false);
 
   static bool exists(const std::string& path, Env* env = nullptr);

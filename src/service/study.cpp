@@ -110,8 +110,7 @@ void StudySession::init_engine() {
     return;
   }
   runner_.emplace(pool_->view);
-  // Pure per-eval streams: the replayability contract (journal.hpp).
-  session_.emplace(*tuner_, *runner_, opts, /*pure_eval_streams=*/true);
+  session_.emplace(*tuner_, *runner_, opts);
   if (spec_.use_eval_cache && options_.eval_cache != nullptr) {
     // M (the Laplace split, capped by max_trials) is part of the noise
     // namespace under DP. A study that opts out of warm starts scopes its
@@ -168,8 +167,8 @@ StudySession::StudySession(RecoveredStudy recovered,
   for (const core::TrialRecord& rec : recovered.steps) {
     session_->replay(rec, /*reexecute_runner=*/false);
   }
-  journal_ = StudyJournal::append_to(journal_path_, options_.env,
-                                     options_.sync_on_commit);
+  journal_ = StudyJournal::append_to(journal_path_, recovered.durable_bytes,
+                                     options_.env, options_.sync_on_commit);
   wire_journal_sink();
   if (recovered.finished) {
     final_ = session_->finalize();

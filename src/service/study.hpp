@@ -14,7 +14,7 @@
 //             selection is journaled as the journal's last record.
 //
 // Managed studies evaluate trials on a registered candidate pool
-// (PoolResources) through the pure-stream NoisyEvaluator; external studies
+// (PoolResources) through the NoisyEvaluator; external studies
 // hand trials to the tenant via ask() and take objectives back via tell().
 //
 // Failure handling (the graceful-degradation ladder):

@@ -300,22 +300,39 @@ void gemm_impl(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+// a · b over k in one order spelled out here, so it cannot depend on how
+// the compiler tunes for the host: 16 lane sums (element p fused into lane
+// p % 16), the k % 16 tail fused into lane 0 in order, then
+// 0 + lane 0 + ... + lane 15 in order.
+float dot16(const float* __restrict a, const float* __restrict b,
+            std::size_t k) {
+  float lane[16] = {};
+  const std::size_t k16 = k - k % 16;
+  for (std::size_t p = 0; p < k16; p += 16) {
+#pragma omp simd
+    for (std::size_t l = 0; l < 16; ++l) {
+      lane[l] = std::fma(a[p + l], b[p + l], lane[l]);
+    }
+  }
+  for (std::size_t p = k16; p < k; ++p) lane[0] = std::fma(a[p], b[p], lane[0]);
+  // Sum the lanes back from memory: one vector store and 16 scalar loads
+  // beat the lane-by-lane shuffles GCC emits otherwise (measured with
+  // gemm_nt_raw at the text output layer's backward shape, k = 32).
+  __asm__ volatile("" : "+m"(lane));
+  float acc = 0.0f;
+  for (const float v : lane) acc += v;
+  return acc;
+}
+
 // C[i0:i1, j0:j1] += A rows · B rows as direct dot products (both operands
 // contiguous along k in the nt layout). Used for small shapes and for the
 // block-remainder edges of the packed nt path.
-void nt_dot_range(const float* __restrict a, const float* __restrict b,
-                  float* __restrict c, std::size_t k, std::size_t n,
-                  std::size_t i0, std::size_t i1, std::size_t j0,
-                  std::size_t j1) {
+void nt_dot_range(const float* a, const float* b, float* c, std::size_t k,
+                  std::size_t n, std::size_t i0, std::size_t i1,
+                  std::size_t j0, std::size_t j1) {
   for (std::size_t i = i0; i < i1; ++i) {
-    const float* __restrict arow = a + i * k;
-    float* __restrict crow = c + i * n;
     for (std::size_t j = j0; j < j1; ++j) {
-      const float* __restrict brow = b + j * k;
-      float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] += acc;
+      c[i * n + j] += dot16(a + i * k, b + j * k, k);
     }
   }
 }
@@ -551,19 +568,6 @@ void scale(std::span<float> x, float alpha) {
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) xp[i] *= alpha;
 }
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  FEDTUNE_CHECK(a.size() == b.size());
-  const float* __restrict ap = a.data();
-  const float* __restrict bp = b.data();
-  const std::size_t n = a.size();
-  float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-  for (std::size_t i = 0; i < n; ++i) acc += ap[i] * bp[i];
-  return acc;
-}
-
-float l2_norm(std::span<const float> x) { return std::sqrt(dot(x, x)); }
 
 void relu(const Matrix& x, Matrix& y) {
   y.ensure_shape(x.rows(), x.cols());

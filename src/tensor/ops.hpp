@@ -37,7 +37,7 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& out);
 // has k > 32. gemm_nt_raw only keeps row r independent of the other rows of
 // a for a fixed m: at m >= 12 its blocked path sums k in order while the
 // dot-product path (fewer rows, the last m % 6 < 4 rows, the n % 16 tail)
-// uses a SIMD reduction.
+// sums k in 16 interleaved lanes (dot16 in ops.cpp).
 // c[m,n] (+)= a[m,k] @ b[k,n]
 void gemm_raw(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, bool accumulate);
@@ -69,8 +69,6 @@ void col_sums_acc(const Matrix& grad, std::span<float> bias_grad);
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 // x *= alpha.
 void scale(std::span<float> x, float alpha);
-float dot(std::span<const float> a, std::span<const float> b);
-float l2_norm(std::span<const float> x);
 
 // Elementwise activations, forward and backward. Backward computes
 // grad_in = grad_out * f'(x) given the *activation output* y (for relu and

@@ -565,7 +565,8 @@ TEST_F(FaultFixture, TornTailFuzzEveryByteOffsetOfLastTwoFrames) {
     // accepts appends again.
     EXPECT_EQ(Env::real().file_size(scratch), healed_size(cut))
         << "cut=" << cut;
-    StudyJournal reopened = StudyJournal::append_to(scratch);
+    EXPECT_EQ(r.durable_bytes, healed_size(cut)) << "cut=" << cut;
+    StudyJournal reopened = StudyJournal::append_to(scratch, r.durable_bytes);
     hpo::Trial t;
     t.id = 99;
     t.target_rounds = 9;

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <tuple>
 #include <vector>
 
@@ -212,9 +211,10 @@ TEST(GemmBlocked, RowsIndependentOfBatch) {
   expect_rows_independent(&ops::gemm_raw, kMaxRows + 1, "gemm_raw");
 }
 
-// gemm_nt_raw sums k sequentially in its micro-kernel (m >= 2*6) but by a
-// SIMD reduction in its dot-product path (fewer rows, and the last m % 6 < 4
-// rows), so a row matches the row alone only below the packing threshold.
+// gemm_nt_raw sums k sequentially in its micro-kernel (m >= 2*6) but in 16
+// interleaved lanes in its dot-product path (fewer rows, and the last
+// m % 6 < 4 rows), so a row matches the row alone only below the packing
+// threshold.
 TEST(GemmBlocked, NtRowsIndependentOfOtherRows) {
   expect_rows_independent(&ops::gemm_nt_raw, 2 * 6, "gemm_nt_raw");
 }
@@ -242,8 +242,7 @@ TEST(GemmBlocked, UnderflowingProductsGivePositiveZero) {
 //   sum:   c (+)= one accumulator per 256-wide k-tile, each started at 0;
 //   chain: every product added straight into c (0 + c at the end when not
 //          accumulating);
-//   dot:   c (+)= ops::dot of the row of A and the row of B (nt only; the
-//          same SIMD reduction as the kernel's dot products).
+//   dot:   c (+)= dot_reference(row of A, row of B) (nt only).
 // Which form an element takes depends on the layout, m, n and its
 // position. The references use the library's `acc += a * b` so that they
 // contract to fused multiply-adds exactly where the kernels do (operands
@@ -259,6 +258,22 @@ const char* layout_name(Layout layout) {
     case Layout::kTN: return "tn";
   }
   return "?";
+}
+
+// The dot form's summation order, spelled out independently of the
+// library's code: 16 lane sums with element p fused into lane p % 16, the
+// k % 16 tail fused into lane 0 in order, then 0 + lane 0 + ... + lane 15
+// in order. Explicit std::fma calls, so it does not follow the codegen.
+float dot_reference(const float* a, const float* b, std::size_t k) {
+  float lane[16] = {};
+  const std::size_t k16 = k - k % 16;
+  for (std::size_t p = 0; p < k; ++p) {
+    float& l = lane[p < k16 ? p % 16 : 0];
+    l = std::fma(a[p], b[p], l);
+  }
+  float sum = 0.0f;
+  for (const float l : lane) sum = sum + l;
+  return sum;
 }
 
 // Rows of gemm_tiled's 6-row and 4-row blocks.
@@ -314,8 +329,7 @@ Forms spec_forms(Layout layout, const std::vector<float>& a,
       if (!accumulate) chain[j] = 0.0f + chain[j];
       if (layout != Layout::kNT) continue;
       f.dot[i * n + j] = (accumulate ? c0[i * n + j] : 0.0f) +
-                         ops::dot(std::span(a).subspan(i * k, k),
-                                  std::span(b_nk).subspan(j * k, k));
+                         dot_reference(&a[i * k], &b_nk[j * k], k);
     }
   }
   return f;
@@ -409,6 +423,23 @@ TEST(GemmSpec, EveryElementMatchesItsForm) {
   for (std::size_t m = 1; m <= 130; ++m) ms.push_back(m);
   expect_spec(ms, {1, 10, 16, 24, 32},
               {Layout::kNN, Layout::kNT, Layout::kTN}, 48);
+}
+
+// With one row, gemm_nt_raw is only dot products: each output is the
+// reference dot, for every k across whole 16-lane blocks and every tail.
+TEST(GemmSpec, SingleRowNtIsTheReferenceDot) {
+  constexpr std::size_t n = 3;
+  Rng rng(50);
+  for (std::size_t k = 0; k <= 300; ++k) {
+    const auto a = random_buf(k, rng, true);
+    const auto b = random_buf(n * k, rng, false);
+    std::vector<float> c(n, 1.0f), want(n);
+    ops::gemm_nt_raw(a.data(), b.data(), c.data(), 1, k, n, false);
+    for (std::size_t j = 0; j < n; ++j) {
+      want[j] = 0.0f + dot_reference(a.data(), b.data() + j * k, k);
+    }
+    ASSERT_EQ(bits(c), bits(want)) << "k=" << k;
+  }
 }
 
 // Deep reductions cross the 256-wide k-tile: the tn weight gradients sum

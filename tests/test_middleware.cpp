@@ -125,8 +125,7 @@ TEST(SessionEvalCache, EntriesServeOnlyAtMatchingFidelityAndSignature) {
   const auto run = [&] {
     ScriptTuner tuner(1, 9);
     PoolTrialRunner runner(view);
-    TuningSession session(tuner, runner, DriverOptions{},
-                          /*pure_eval_streams=*/true);
+    TuningSession session(tuner, runner, DriverOptions{});
     session.set_eval_cache(&store, /*noise_signature=*/7);
     const TrialRecord record = session.step().value();
     session.commit_cache_insert();
@@ -163,7 +162,7 @@ TEST(SessionTrialCap, StopsAtCapAndSplitsEpsilonOverCappedPlan) {
   {
     ScriptTuner tuner(2, 9);
     PoolTrialRunner runner(view);
-    EXPECT_EQ(TuningSession(tuner, runner, opts, true).planned_evaluations(),
+    EXPECT_EQ(TuningSession(tuner, runner, opts).planned_evaluations(),
               2u);
   }
 
@@ -174,7 +173,7 @@ TEST(SessionTrialCap, StopsAtCapAndSplitsEpsilonOverCappedPlan) {
   MemoryEvalStore store;
   store.insert(EvalKey{config_fingerprint(tuner.trials()[0].config), 9, 1},
                EvalOutcome{0.5, 0.5});
-  TuningSession session(tuner, runner, opts, /*pure_eval_streams=*/true);
+  TuningSession session(tuner, runner, opts);
   session.set_eval_cache(&store, /*noise_signature=*/1);
   EXPECT_EQ(session.planned_evaluations(), 3u);
 

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/env.hpp"
+#include "common/rng_salts.hpp"
 #include "common/serialize.hpp"
 #include "core/config_pool.hpp"
 #include "hpo/random_search.hpp"
@@ -773,7 +775,7 @@ TEST_F(ServiceFixture, ExternalStudyAskTellAndResume) {
 // ------------------------------------------------------- engine unit tests
 
 TEST_F(ServiceFixture, PureEvalStreamsSkipMatchesSequential) {
-  // With pure per-eval streams, evaluation i is independent of evaluations
+  // With per-evaluation streams, evaluation i is independent of evaluations
   // j < i — skipping past journaled evaluations reproduces the exact stream
   // an uninterrupted evaluator would have used.
   core::NoiseModel noise;
@@ -782,26 +784,22 @@ TEST_F(ServiceFixture, PureEvalStreamsSkipMatchesSequential) {
   std::vector<double> weights = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   std::vector<double> errors = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
 
-  core::NoisyEvaluator full(noise, weights, 4, Rng(9), true);
+  core::NoisyEvaluator full(noise, weights, 4, Rng(9));
   std::vector<double> sequential;
   for (int i = 0; i < 4; ++i) sequential.push_back(full.evaluate(errors));
 
-  core::NoisyEvaluator resumed(noise, weights, 4, Rng(9), true);
+  core::NoisyEvaluator resumed(noise, weights, 4, Rng(9));
   resumed.skip_evaluation();
   resumed.skip_evaluation();
   EXPECT_EQ(bits(resumed.evaluate(errors)), bits(sequential[2]));
   EXPECT_EQ(bits(resumed.evaluate(errors)), bits(sequential[3]));
   // Privacy accounting covers skipped evaluations too.
   EXPECT_DOUBLE_EQ(resumed.accountant().spent(), full.accountant().spent());
-
-  // The legacy sequential evaluator rejects skipping.
-  core::NoisyEvaluator legacy(noise, weights, 4, Rng(9));
-  EXPECT_THROW(legacy.skip_evaluation(), std::invalid_argument);
 }
 
 TEST_F(ServiceFixture, TuningSessionMatchesRunTuning) {
   // The factored step engine is the driver: stepping a session by hand
-  // reproduces core::run_tuning exactly (legacy eval streams, same seed).
+  // reproduces core::run_tuning exactly (same seed, same evaluation streams).
   core::DriverOptions opts;
   opts.noise.eval_clients = 3;
   opts.seed = 21;
@@ -818,6 +816,63 @@ TEST_F(ServiceFixture, TuningSessionMatchesRunTuning) {
   while (session.step().has_value()) {
   }
   expect_bitwise_equal(session.finalize(), via_driver);
+}
+
+TEST_F(ServiceFixture, ManagedStudyIsRunTuning) {
+  // A managed study computes exactly the paper's experiment: core::run_tuning
+  // with the study's tuner and driver streams gives the same trajectory, bit
+  // for bit, under client subsampling and per-evaluation DP noise.
+  for (const StudyMethod method :
+       {StudyMethod::kRandomSearch, StudyMethod::kSha}) {
+    SCOPED_TRACE(static_cast<int>(method));
+    const StudySpec spec = managed_spec("same", method, 6);
+    const core::TuneResult managed = run_uninterrupted(spec);
+
+    const Rng base(spec.seed);
+    const std::unique_ptr<hpo::Tuner> tuner =
+        make_study_tuner(spec, pool_.get(), base.split(salts::kStudyTuner));
+    core::PoolTrialRunner runner(pool_->view);
+    core::DriverOptions opts;
+    opts.noise = spec.noise;
+    opts.seed = base.split(salts::kStudyDriver).seed();
+    expect_bitwise_equal(core::run_tuning(*tuner, runner, opts), managed);
+  }
+}
+
+// Counts whole-file reads; every operation goes to the real filesystem.
+class ReadCountingEnv : public FaultInjectingEnv {
+ public:
+  ReadCountingEnv() : FaultInjectingEnv(Env::real(), FaultPlan{}) {}
+  std::string read_file(const std::string& path) override {
+    ++reads;
+    return FaultInjectingEnv::read_file(path);
+  }
+  int reads = 0;
+};
+
+TEST_F(ServiceFixture, ResumeReadsTheJournalOnce) {
+  // recover() reads and validates the journal; reopening it for appends
+  // takes the durable size from recover()'s result and reads nothing more.
+  const StudySpec spec = managed_spec("once", StudyMethod::kRandomSearch, 5);
+  const std::string dir = fresh_dir();
+  {
+    StudyManager mgr(manager_options(dir));
+    mgr.register_pool("p", pool_);
+    StudySession& s = mgr.create_study(spec);
+    for (int i = 0; i < 2; ++i) s.run_one_step();
+  }
+  ReadCountingEnv env;
+  ManagerOptions opts = manager_options(dir);
+  opts.env = &env;
+  StudyManager mgr(opts);
+  mgr.register_pool("p", pool_);
+  StudySession& s = mgr.resume_study("once");
+  EXPECT_EQ(env.reads, 1);
+  while (s.run_one_step()) {
+  }
+  EXPECT_TRUE(s.finished());
+  expect_bitwise_equal(s.result(), run_uninterrupted(spec));
+  EXPECT_EQ(StudyJournal::recover(dir + "/once.journal").truncated_bytes, 0u);
 }
 
 TEST_F(ServiceFixture, InspectPoolFileReadsHeadersAndRejectsGarbage) {
